@@ -40,6 +40,20 @@ class Rng {
     return result;
   }
 
+  /// Advances the state past `n` draws without producing them: afterwards
+  /// the generator is exactly where n calls of operator() would leave it.
+  void discard(std::uint64_t n) {
+    for (; n > 0; --n) {
+      const std::uint64_t t = s_[1] << 17;
+      s_[2] ^= s_[0];
+      s_[3] ^= s_[1];
+      s_[1] ^= s_[2];
+      s_[0] ^= s_[3];
+      s_[2] ^= t;
+      s_[3] = rotl(s_[3], 45);
+    }
+  }
+
   /// Uniform in [0, n). n must be > 0.
   std::uint64_t below(std::uint64_t n) { return (*this)() % n; }
 

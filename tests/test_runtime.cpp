@@ -94,13 +94,25 @@ TEST(WsDequeTest, SoleThiefNeverAborts) {
 
 TEST(WsDequeTest, LastElementPopVsStealRace) {
   // One element, owner pop racing one thief steal, many rounds: exactly
-  // one side must win each round, and a loser must see kEmpty/kAbort.
+  // one side must win each element, and a loser must see kEmpty/kAbort.
+  // The thief reads `round` before it steals, so by the time its steal
+  // lands the owner may already have moved on and pushed a later round's
+  // element: a thief win is only known to be no older than the round it
+  // read. Each element is claimed exactly once, by whichever side won it.
   const int kRounds = 4000;
   WsDeque d(4);
+  std::vector<std::atomic<bool>> claimed(kRounds);
+  for (std::atomic<bool>& c : claimed) c.store(false);
   std::atomic<int> round{-1};
   std::atomic<int> wins{0};
   std::atomic<bool> stop{false};
   std::atomic<int> aborts{0};
+  auto claim = [&](std::int32_t v) {
+    ASSERT_LT(v, kRounds);
+    EXPECT_FALSE(claimed[std::size_t(v)].exchange(true))
+        << "element " << v << " taken twice";
+    wins.fetch_add(1);
+  };
   std::thread thief([&] {
     int seen = -1;
     while (!stop.load()) {
@@ -115,8 +127,8 @@ TEST(WsDequeTest, LastElementPopVsStealRace) {
         v = d.steal();
       }
       if (v >= 0) {
-        EXPECT_EQ(v, r);
-        wins.fetch_add(1);
+        EXPECT_GE(v, r);
+        claim(v);
       }
     }
   });
@@ -126,7 +138,7 @@ TEST(WsDequeTest, LastElementPopVsStealRace) {
     std::int32_t v = d.pop();
     if (v >= 0) {
       EXPECT_EQ(v, r);
-      wins.fetch_add(1);
+      claim(v);
     }
     // Whoever lost must find the deque empty; spin until the winner's
     // CAS landed so the next round starts clean.
@@ -135,6 +147,8 @@ TEST(WsDequeTest, LastElementPopVsStealRace) {
   stop.store(true);
   thief.join();
   EXPECT_EQ(wins.load(), kRounds);
+  for (int r = 0; r < kRounds; ++r)
+    EXPECT_TRUE(claimed[std::size_t(r)].load()) << "element " << r << " lost";
 }
 
 TEST(WsDequeTest, ManyThievesHammerOneOwner) {

@@ -3,11 +3,15 @@
 // and the ND-vs-NP load-balance gap the schedulers are supposed to expose.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "algos/lcs.hpp"
 #include "algos/matmul.hpp"
 #include "algos/trs.hpp"
 #include "analysis/pcc.hpp"
+#include "exp/workload.hpp"
 #include "nd/drs.hpp"
+#include "pmh/presets.hpp"
 #include "sched/sb_scheduler.hpp"
 #include "sched/ws_scheduler.hpp"
 
@@ -130,6 +134,79 @@ TEST(WsScheduler, DeterministicForFixedSeed) {
   const SchedStats b = run_ws_scheduler(g, m, o);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.steals, b.steals);
+}
+
+/// FNV-1a over every trace event's start time, processor and unit root:
+/// two runs with equal fingerprints placed the same units on the same
+/// processors at the same times.
+std::uint64_t trace_fingerprint(const Trace& t) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ULL;
+  };
+  for (const TraceEvent& e : t) {
+    std::uint64_t start_bits = 0;
+    std::memcpy(&start_bits, &e.start, sizeof start_bits);
+    mix(start_bits);
+    mix(e.proc);
+    mix(e.unit_root);
+  }
+  return h;
+}
+
+TEST(WsScheduler, VictimStreamPinnedOnSixteenProcessors) {
+  // Full ws stats and schedule fingerprints on flat16, where most
+  // processors sit idle with nothing to steal (chain: one ready unit at a
+  // time; forkjoin: barrier tails). The victim RNG stream decides who
+  // steals what, so any change to how many draws an idle pick consumes
+  // shows up here — wavefront is the seed-sensitive case. Values recorded
+  // from the engine before idle picks could be skipped; never re-baseline.
+  struct Golden {
+    const char* workload;
+    std::uint64_t seed;
+    double makespan;
+    std::size_t steals;
+    double misses;
+    std::uint64_t fingerprint;
+  };
+  const Golden golden[] = {
+      {"gen:family=chain,n=4096", 1, 2883584, 4095, 262144,
+       0x04c70d6c2ed2c383ULL},
+      {"gen:family=chain,n=4096", 2, 2883584, 4095, 262144,
+       0x04c70d6c2ed2c383ULL},
+      {"gen:family=chain,n=4096", 3, 2883584, 4095, 262144,
+       0x04c70d6c2ed2c383ULL},
+      {"gen:family=forkjoin,depth=64,fan=48", 1, 135168, 2880, 196608,
+       0x8bdf324075845c43ULL},
+      {"gen:family=forkjoin,depth=64,fan=48", 2, 135168, 2880, 196608,
+       0x8bdf324075845c43ULL},
+      {"gen:family=forkjoin,depth=64,fan=48", 3, 135168, 2880, 196608,
+       0x8bdf324075845c43ULL},
+      {"gen:family=wavefront,n=32", 1, 56320, 524, 65536,
+       0xddf9719cd29f3b39ULL},
+      {"gen:family=wavefront,n=32", 2, 56320, 548, 65536,
+       0x8affbbdc7156fc1bULL},
+      {"gen:family=wavefront,n=32", 3, 56320, 537, 65536,
+       0x41967c97ba44f05bULL},
+  };
+  const Pmh m = make_pmh("flat16");
+  for (const Golden& want : golden) {
+    const exp::Workload w(exp::parse_workload(want.workload));
+    Trace trace;
+    SchedOptions o;
+    o.seed = want.seed;
+    o.trace = &trace;
+    const SchedStats s = run_ws_scheduler(w.graph(), m, o);
+    SCOPED_TRACE(std::string(want.workload) + " seed " +
+                 std::to_string(want.seed));
+    EXPECT_EQ(s.makespan, want.makespan);
+    EXPECT_EQ(s.steals, want.steals);
+    ASSERT_EQ(s.misses.size(), 1u);
+    EXPECT_EQ(s.misses[0], want.misses);
+    EXPECT_EQ(s.miss_cost, want.misses * m.miss_cost(1));
+    EXPECT_EQ(trace_fingerprint(trace), want.fingerprint);
+  }
 }
 
 }  // namespace

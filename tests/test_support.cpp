@@ -79,6 +79,18 @@ TEST(Rng, BelowStaysInRange) {
   for (int i = 0; i < 1000; ++i) EXPECT_LT(r.below(17), 17u);
 }
 
+TEST(Rng, DiscardSkipsExactlyNDraws) {
+  // The ws policy replays skipped idle picks with discard(): the next draw
+  // must be the (n+1)-th draw of a twin that produced every value.
+  for (std::uint64_t n : {0u, 1u, 2u, 31u, 1000u}) {
+    Rng skipped(99), twin(99);
+    skipped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) (void)twin();
+    EXPECT_EQ(skipped(), twin()) << "n=" << n;
+    EXPECT_EQ(skipped.below(17), twin.below(17)) << "n=" << n;
+  }
+}
+
 TEST(Fit, RecoversLinearCoefficients) {
   std::vector<double> xs, ys;
   for (int i = 1; i <= 20; ++i) {
