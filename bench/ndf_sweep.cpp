@@ -44,10 +44,11 @@
 //                                axes overridable as usual (CI trims with
 //                                --repeat=2)
 //   --phase-times                print per-phase wall-clock (workload build
-//                                / condensation / cell execution / emit) and
-//                                per-worker busy/task accounting to stderr,
-//                                so a perf regression is attributable
-//                                without a profiler
+//                                / condensation / cell execution / emit),
+//                                the engine counters summed over all cells
+//                                and per-worker busy/task accounting to
+//                                stderr, so a perf regression is
+//                                attributable without a profiler
 //   --trace-out=<path>           record grid cell 0's full event stream
 //                                (unit slices, queue waits, cache events)
 //                                and write it as Chrome trace-event JSON —
@@ -236,6 +237,19 @@ int main(int argc, char** argv) {
                  "cell-execution %.3fs, emit %.3fs\n",
                  pt.workload_build, pt.condensation, pt.cell_execution,
                  emit_s);
+    // What the event loop did, summed over every cell: integer counts, so
+    // the line is identical at every --jobs value.
+    const EngineCounters& ec = sweep.engine_counters();
+    std::fprintf(stderr,
+                 "phase-times: engine picks %llu, skipped-picks %llu, "
+                 "null-picks %llu, fire-ops %llu, cascade-fires %llu, "
+                 "heap-pushes %llu\n",
+                 (unsigned long long)ec.picks,
+                 (unsigned long long)ec.skipped_picks,
+                 (unsigned long long)ec.null_picks,
+                 (unsigned long long)ec.fire_ops,
+                 (unsigned long long)ec.cascade_fires,
+                 (unsigned long long)ec.heap_pushes);
     // Pool self-profiling (empty on the serial path): busy seconds and
     // task count per worker expose imbalance the phase totals hide.
     const auto& ws = sweep.worker_stats();

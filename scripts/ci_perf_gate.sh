@@ -14,6 +14,10 @@
 #      run's peak RSS into BENCH_sweep_parallel.json (uploaded as a CI
 #      artifact, so the parallel-efficiency and memory trajectories are
 #      tracked across commits).
+#   3. FAILS if the stress grid's `phase-times: engine` counters (picks,
+#      skipped/null picks, fire-program ops, cascade fires, heap pushes,
+#      summed over all cells) differ between --jobs=1 and --jobs=N, and
+#      stores them in the JSON next to the timings.
 #
 # Measurement validity: both timed grids take >= 1 s serially (the old gate
 # grid finished in ~20 ms, where thread startup dominates and a speedup
@@ -51,7 +55,7 @@ GATE_ARGS=(--name=perf-gate
            --workloads='mm:n=128;lcs:n=1024;cholesky:n=128;gen:family=sp,depth=8,fan=4,seed=7;gen:family=wavefront,n=32'
            --machines='flat16;deep4x4'
            --sched=sb,ws,greedy,serial --sigma=0.33 --repeat=8)
-STRESS_ARGS=(--stress "--repeat=$STRESS_REPEAT")
+STRESS_ARGS=(--stress "--repeat=$STRESS_REPEAT" --phase-times)
 
 run_grid() { # <jobs> <prefix> [extra sweep args...]
   local jobs=$1 prefix=$2
@@ -64,7 +68,8 @@ run_grid() { # <jobs> <prefix> [extra sweep args...]
 # Best-of-3 wall-clock + peak-RSS of one grid at one jobs value; appends a
 # "<label> <jobs> <t1,t2,t3> <peak_rss_kb>" line to $OUT/timings.txt — the
 # raw per-run timings, not just the minimum, so the uploaded artifact shows
-# how noisy the runner was when a regression is being judged.
+# how noisy the runner was when a regression is being judged. The last
+# run's stderr is kept in $OUT/<prefix>.err.
 # getrusage(RUSAGE_CHILDREN) is cumulative, so ru_maxrss after the runs is
 # the max over them — exactly the peak we want to record.
 time_grid() { # <jobs> <prefix> <label> [sweep args...]
@@ -78,10 +83,11 @@ label, jobs, log = sys.argv[1:4]
 cmd = sys.argv[4:]
 prefix = next(a.split("=", 1)[1] for a in cmd if a.startswith("--json="))
 runs = []
+stem = prefix.rsplit(".", 1)[0]
 for _ in range(3):
-    with open(prefix.rsplit(".", 1)[0] + ".txt", "w") as out:
+    with open(stem + ".txt", "w") as out, open(stem + ".err", "w") as err:
         t0 = time.monotonic()
-        subprocess.run(cmd, stdout=out, check=True)
+        subprocess.run(cmd, stdout=out, stderr=err, check=True)
         runs.append(time.monotonic() - t0)
 rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 with open(log, "a") as f:
@@ -202,10 +208,26 @@ time_grid "$JOBS" stress-parallel stress "${STRESS_ARGS[@]}"
 check_identical stress-serial stress-parallel \
     "stress grid, --jobs=1 vs --jobs=$JOBS"
 
+# The engine counters are integer sums over cells, so they must not depend
+# on how the cells were spread over workers.
+ENGINE_SERIAL=$(grep '^phase-times: engine ' "$OUT/stress-serial.err" || true)
+ENGINE_PARALLEL=$(grep '^phase-times: engine ' "$OUT/stress-parallel.err" || true)
+if [[ -z "$ENGINE_SERIAL" || "$ENGINE_SERIAL" != "$ENGINE_PARALLEL" ]]; then
+  echo "FAIL: stress grid engine counters differ (or are missing):" >&2
+  echo "  --jobs=1:     $ENGINE_SERIAL" >&2
+  echo "  --jobs=$JOBS: $ENGINE_PARALLEL" >&2
+  exit 1
+fi
+echo "OK: stress grid engine counters equal at --jobs=1 and --jobs=$JOBS"
+
 python3 - "$OUT/timings.txt" "$JOBS" "$MIN_SPEEDUP" "$STRESS_REPEAT" \
-    "$BUILD_DIR/BENCH_sweep_parallel.json" <<'EOF'
+    "$BUILD_DIR/BENCH_sweep_parallel.json" "$ENGINE_SERIAL" <<'EOF'
 import json, os, sys
-log, jobs, min_speedup, stress_repeat, path = sys.argv[1:6]
+log, jobs, min_speedup, stress_repeat, path, engine_line = sys.argv[1:7]
+# "phase-times: engine picks N, skipped-picks N, ..." -> {"picks": N, ...}
+engine = {k.replace("-", "_"): int(v) for k, v in
+          (item.split() for item in
+           engine_line.split("engine ", 1)[1].split(", "))}
 grids = {}
 for line in open(log):
     label, j, walls, rss = line.split()
@@ -236,6 +258,7 @@ doc = {
         "grid": f"ndf_sweep --stress --repeat={stress_repeat} (6 deep/wide "
                 "generated workloads x 2 sigma x 3 machines x 4 policies)",
         **grids["stress"],
+        "engine_counters": engine,
     },
 }
 with open(path, "w") as f:

@@ -45,15 +45,17 @@ RunPoint make_run_point(const Scenario& s, const GridPoint& g, const Pmh& m,
 /// writers contend on).
 struct alignas(64) ResultSlot {
   RunPoint pt;
+  EngineCounters engine;
 };
 
 /// Executes grid cell i through `core`, constructing it on first use and
 /// reset()-rebinding it afterwards — the shared per-cell body of the serial
 /// loop and every parallel chunk. `sink` (non-null for grid cell 0 only —
-/// the scenario's trace_sink) records the cell's event stream.
+/// the scenario's trace_sink) records the cell's event stream; the run's
+/// engine counters are added to `engine`.
 RunPoint run_cell(const Scenario& s, const GridPoint& g, const Pmh& m,
                   const CondensedDag& dag, std::unique_ptr<SimCore>& core,
-                  obs::TraceSink* sink) {
+                  obs::TraceSink* sink, EngineCounters& engine) {
   SchedOptions opts = point_options(s, g);
   opts.sink = sink;
   const auto policy = make_scheduler(s.policies[g.policy], opts);
@@ -63,6 +65,7 @@ RunPoint run_cell(const Scenario& s, const GridPoint& g, const Pmh& m,
     core = std::make_unique<SimCore>(dag, m, opts);
   RunPoint pt = make_run_point(s, g, m, opts);
   pt.stats = core->run(*policy);
+  engine += core->counters();
   return pt;
 }
 
@@ -75,6 +78,7 @@ const std::vector<RunPoint>& Sweep::run() {
   results_.clear();
   condensations_ = 0;
   phase_times_ = {};
+  engine_counters_ = {};
   worker_stats_.clear();
   validate(scenario_);
 
@@ -99,6 +103,7 @@ const std::vector<RunPoint>& Sweep::run() {
     results_.clear();
     condensations_ = 0;
     phase_times_ = {};
+    engine_counters_ = {};
     worker_stats_.clear();
     throw;
   }
@@ -170,7 +175,8 @@ void Sweep::run_serial(const std::vector<Pmh>& machines,
     const double t0 = now_s();
     results_.push_back(
         run_cell(scenario_, g, m, *dag, core,
-                 cell_index == 0 ? scenario_.trace_sink : nullptr));
+                 cell_index == 0 ? scenario_.trace_sink : nullptr,
+                 engine_counters_));
     phase_times_.cell_execution += now_s() - t0;
     ++cell_index;
     progress.tick();
@@ -263,7 +269,8 @@ void Sweep::run_parallel(std::size_t jobs, const std::vector<Pmh>& machines,
           results[i].pt =
               run_cell(scenario_, g, machines[g.machine],
                        *dags[plan.cell[i]], core,
-                       i == 0 ? scenario_.trace_sink : nullptr);
+                       i == 0 ? scenario_.trace_sink : nullptr,
+                       results[i].engine);
           progress.tick();
         }
       });
@@ -271,7 +278,10 @@ void Sweep::run_parallel(std::size_t jobs, const std::vector<Pmh>& machines,
   phase_times_.cell_execution = now_s() - t0;
 
   results_.reserve(results.size());
-  for (ResultSlot& s : results) results_.push_back(std::move(s.pt));
+  for (ResultSlot& s : results) {
+    results_.push_back(std::move(s.pt));
+    engine_counters_ += s.engine;
+  }
   // Reported only now: a throw in any phase above leaves the count at the
   // zero run() started from, never at plan size with no results behind it.
   condensations_ = plan.keys.size();

@@ -33,6 +33,7 @@
 #include <cstddef>
 
 #include "exp/scenario.hpp"
+#include "sched/sim_core.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ndf::exp {
@@ -70,6 +71,9 @@ class Sweep {
   std::size_t condensations_built() const { return condensations_; }
   /// Per-phase wall-clock of the completed run (zeros before/without one).
   const PhaseTimes& phase_times() const { return phase_times_; }
+  /// Engine counters summed over every cell of the completed run (zeros
+  /// before/without one) — equal at every `jobs` value.
+  const EngineCounters& engine_counters() const { return engine_counters_; }
   /// Per-worker busy/idle accounting of the completed run's thread pool
   /// (empty before a run, and on the serial path — there are no workers).
   const std::vector<ThreadPool::WorkerStats>& worker_stats() const {
@@ -89,6 +93,7 @@ class Sweep {
   std::vector<RunPoint> results_;
   std::size_t condensations_ = 0;
   PhaseTimes phase_times_;
+  EngineCounters engine_counters_;
   std::vector<ThreadPool::WorkerStats> worker_stats_;
   bool ran_ = false;
 };

@@ -1,5 +1,6 @@
 #include "sched/condensed_dag.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "pmh/machine.hpp"
@@ -68,32 +69,67 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
     total_work_ += unit_work_[u];
   }
 
-  // Dependence-counter template and the per-edge arrow CSR, built by the
-  // one boundary-crossing walk (for_each_external_arrow). Edge ids follow
-  // (vertex, successor-index) order — exactly the order SimCore's firing
-  // loop visits them — so the event loop replays this walk as a linear
-  // scan of arrows_ instead of re-deriving it per fire.
-  edge_base_.resize(g_->num_vertices());
-  arrow_off_.reserve(g_->num_edges() + 1);
-  arrow_off_.push_back(0);
-  std::size_t e = 0;
-  for (VertexId v = 0; v < g_->num_vertices(); ++v) {
-    edge_base_[v] = e;
+  // Control vertices get dense indices in vertex order; ctrl_of maps a
+  // vertex to its index (kNotControl inside a unit) while compiling.
+  constexpr std::uint32_t kNotControl = ~std::uint32_t(0);
+  std::vector<std::uint32_t> ctrl_of(g_->num_vertices(), kNotControl);
+  for (VertexId v = 0; v < g_->num_vertices(); ++v)
+    if (dec_[0].owner[g_->owner(v)] < 0) {
+      ctrl_of[v] = std::uint32_t(controls_.size());
+      controls_.push_back(v);
+      ctrl_deg0_.push_back(g_->in_degree(v));
+    }
+
+  // Fire programs, units first, then control vertices. The dependence
+  // template is counted from the very ops the event loop will replay, so
+  // the +1s and the -1s are the same data and can never diverge.
+  auto compile_vertex = [&](VertexId v) {
     for (VertexId w : g_->successors(v)) {
       for_each_external_arrow(v, w, [&](std::size_t l, int t) {
         const std::size_t flat = ext_off_[l - 1] + std::size_t(t);
         ++ext0_flat_[flat];
-        arrows_.push_back({std::uint32_t(flat), std::uint32_t(l)});
+        ops_.push_back({std::uint32_t(flat), std::uint32_t(l)});
       });
-      arrow_off_.push_back(std::uint32_t(arrows_.size()));
-      ++e;
+      if (ctrl_of[w] != kNotControl) ops_.push_back({ctrl_of[w], 0});
     }
+  };
+  prog_off_.reserve(num_units() + controls_.size() + 1);
+  prog_off_.push_back(0);
+  std::vector<VertexId> order;
+  std::vector<NodeId> stack;
+  for (std::size_t u = 0; u < num_units(); ++u) {
+    order.clear();
+    append_fire_order(int(u), order, stack);
+    for (VertexId v : order) compile_vertex(v);
+    prog_off_.push_back(std::uint32_t(ops_.size()));
   }
-  NDF_CHECK(e == g_->num_edges());
+  for (VertexId v : controls_) {
+    compile_vertex(v);
+    prog_off_.push_back(std::uint32_t(ops_.size()));
+  }
+  NDF_CHECK_MSG(ops_.size() <= ~std::uint32_t(0),
+                "fire-program arena overflows 32-bit offsets");
+}
 
-  in_deg0_.resize(g_->num_vertices());
-  for (VertexId v = 0; v < g_->num_vertices(); ++v)
-    in_deg0_[v] = g_->in_degree(v);
+void CondensedDag::unit_fire_order(int u, std::vector<VertexId>& out) const {
+  std::vector<NodeId> stack;
+  append_fire_order(u, out, stack);
+}
+
+void CondensedDag::append_fire_order(int u, std::vector<VertexId>& out,
+                                     std::vector<NodeId>& stack) const {
+  // A pre-order walk that visits the last child first, then reversed:
+  // every node after its descendants, the root last.
+  const std::size_t mark = out.size();
+  stack.assign(1, unit_root(u));
+  while (!stack.empty()) {
+    const NodeId n = stack.back();
+    stack.pop_back();
+    out.push_back(g_->exit(n));
+    out.push_back(g_->enter(n));
+    for (NodeId c : tree_->node(n).children) stack.push_back(c);
+  }
+  std::reverse(out.begin() + std::ptrdiff_t(mark), out.end());
 }
 
 bool CondensedDag::compatible_with(const Pmh& machine, double sigma) const {

@@ -1,9 +1,10 @@
 // Immutable condensation of an elaborated strand DAG against a cache-size
 // profile: the per-level σM-maximal decompositions, unit work, task→unit
-// counts, and the external-dependence templates every simulation run starts
-// from. Building one is the expensive part of simulating a policy (it walks
-// the spawn tree once per level and every DAG edge once per level); running
-// a policy on top of it is cheap. A sweep over 4 policies × N machines with
+// counts, the dependence-counter templates every simulation run starts
+// from, and one precompiled fire program per atomic unit and per control
+// vertex. Building one is the expensive part of simulating a policy (it
+// walks the spawn tree once per level and every DAG edge once per level);
+// running a policy on top of it is cheap. A sweep over 4 policies × N machines with
 // the same cache sizes therefore builds the condensation once and shares it
 // across all 4N runs (see src/exp/sweep.hpp), instead of rebuilding it
 // inside every SimCore as the pre-split code did.
@@ -16,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/decompose.hpp"
@@ -58,30 +60,15 @@ class CondensedDag {
     return task_units_[level - 1][t];
   }
 
-  /// Invokes fn(level, task) for every level at which edge (v, w) is an
-  /// external incoming arrow of w's maximal task — the boundary-crossing
-  /// walk the construction-time template build runs per edge. The event
-  /// loop never re-walks it: the result is frozen into the per-edge arrow
-  /// CSR below, so the +1 template and SimCore's -1 decrements are
-  /// literally the same data and can never diverge.
-  template <typename Fn>
-  void for_each_external_arrow(VertexId v, VertexId w, Fn&& fn) const {
-    const NodeId nu = g_->owner(v), nv = g_->owner(w);
-    for (std::size_t l = 1; l <= dec_.size(); ++l) {
-      const int tu = dec_[l - 1].owner[nu], tv = dec_[l - 1].owner[nv];
-      if (tu == tv && tu >= 0) break;  // internal here and above
-      if (tv >= 0) fn(l, tv);
-    }
-  }
-
   // --- flat run-state templates (contiguous arenas, memcpy-resettable) ----
   //
   // All per-(level, task) counters of a run live in ONE flat arena indexed
   // by ext_off(level) + task; a SimCore reset is a single vector assign
-  // from initial_ext_flat() instead of L allocations. The per-edge arrow
-  // CSR precomputes, for every DAG edge in (vertex, successor-index) order,
-  // which flat counters the edge decrements when it fires — the event
-  // loop's hottest walk reduced to a linear scan of precomputed entries.
+  // from initial_ext_flat() instead of L allocations. Control vertices
+  // (those of glue nodes, outside every atomic unit) get dense indices in
+  // vertex order and their own in-degree template; a unit's vertices need
+  // no in-degree at all, because they fire together when the unit
+  // completes.
 
   /// Offset of level `level`'s counters in the flat (level, task) arena.
   std::size_t ext_off(std::size_t level) const { return ext_off_[level - 1]; }
@@ -90,28 +77,49 @@ class CondensedDag {
   /// Initial unsatisfied external dataflow arrows, flat arena layout — the
   /// template a run copies its mutable counters from.
   const std::vector<int>& initial_ext_flat() const { return ext0_flat_; }
-  /// Initial in-degree per DAG vertex, same role.
-  const std::vector<std::uint32_t>& initial_in_degree() const {
-    return in_deg0_;
+
+  /// Control vertices, ascending: index c names vertex control_vertex(c).
+  std::size_t num_controls() const { return controls_.size(); }
+  VertexId control_vertex(std::size_t c) const { return controls_[c]; }
+  /// Initial in-degree per control vertex — the run's in-degree template.
+  const std::vector<std::uint32_t>& initial_control_in_degree() const {
+    return ctrl_deg0_;
   }
 
-  /// One precomputed external-arrow decrement: edge fires → --arena[flat],
-  /// and on reaching zero the level-`level` task `flat - ext_off(level)`
-  /// became ready.
-  struct ArrowRef {
-    std::uint32_t flat;   ///< index into the flat (level, task) arena
-    std::uint32_t level;  ///< cache level of the crossing (1-based)
+  // --- fire programs -------------------------------------------------------
+  //
+  // Everything firing a vertex does to the run's counters, precompiled.
+  // Unit u's program is the concatenation, over u's vertices in fire order
+  // (unit_fire_order), of each vertex's successor edges in successor order;
+  // an edge contributes one op per external arrow it is at some level
+  // (for_each_external_arrow, innermost first), then one op if its head is
+  // a control vertex. Edges inside a unit contribute nothing. A control
+  // vertex's program is the same for its own out-edges. All programs share
+  // one arena, so completing a unit is a linear scan of it.
+
+  /// One precomputed decrement. level >= 1: --ext[target] on the flat
+  /// arena, and at zero the level-`level` task `target - ext_off(level)`
+  /// became ready. level == 0: --in_degree of control vertex `target`, and
+  /// at zero that vertex fires.
+  struct FireOp {
+    std::uint32_t target;
+    std::uint32_t level;
   };
-  /// Id of vertex v's first outgoing edge; edge ids follow successor order,
-  /// so v's i-th successor is edge `edge_base(v) + i`.
-  std::size_t edge_base(VertexId v) const { return edge_base_[v]; }
-  /// External arrows of edge `e`, as [begin, end) into one shared arena.
-  const ArrowRef* arrows_begin(std::size_t e) const {
-    return arrows_.data() + arrow_off_[e];
+  /// Unit u's fire program: what its completion does to the counters.
+  std::span<const FireOp> unit_program(int u) const {
+    return program(std::size_t(u));
   }
-  const ArrowRef* arrows_end(std::size_t e) const {
-    return arrows_.data() + arrow_off_[e + 1];
+  /// Control vertex c's fire program.
+  std::span<const FireOp> control_program(std::size_t c) const {
+    return program(num_units() + c);
   }
+  /// Total ops across every program (the arena's size).
+  std::size_t fire_op_count() const { return ops_.size(); }
+
+  /// Appends unit u's vertices to `out` in the order its completion fires
+  /// them: children before parents (so the unit root's exit comes last),
+  /// enter before exit. The order unit u's program was compiled in.
+  void unit_fire_order(int u, std::vector<VertexId>& out) const;
 
   /// Level-`level` maximal task containing unit `u` (flat table — the hot
   /// per-pick lookup of the ws cache model and the occupancy layer).
@@ -138,6 +146,29 @@ class CondensedDag {
   static std::size_t total_builds();
 
  private:
+  /// Invokes fn(level, task) for every level at which edge (v, w) is an
+  /// external incoming arrow of w's maximal task — the boundary-crossing
+  /// walk the fire programs are compiled from. The event loop never
+  /// re-walks it.
+  template <typename Fn>
+  void for_each_external_arrow(VertexId v, VertexId w, Fn&& fn) const {
+    const NodeId nu = g_->owner(v), nv = g_->owner(w);
+    for (std::size_t l = 1; l <= dec_.size(); ++l) {
+      const int tu = dec_[l - 1].owner[nu], tv = dec_[l - 1].owner[nv];
+      if (tu == tv && tu >= 0) break;  // internal here and above
+      if (tv >= 0) fn(l, tv);
+    }
+  }
+
+  /// Program i of the arena (units first, then control vertices).
+  std::span<const FireOp> program(std::size_t i) const {
+    return {ops_.data() + prog_off_[i], ops_.data() + prog_off_[i + 1]};
+  }
+
+  /// unit_fire_order with a caller-owned scratch stack.
+  void append_fire_order(int u, std::vector<VertexId>& out,
+                         std::vector<NodeId>& stack) const;
+
   const StrandGraph* g_;
   const SpawnTree* tree_;
   double sigma_;
@@ -150,11 +181,11 @@ class CondensedDag {
 
   std::vector<std::size_t> ext_off_;   // [l-1] = arena offset of level l
   std::vector<int> ext0_flat_;         // flat (level, task) template
-  std::vector<std::uint32_t> in_deg0_;
+  std::vector<VertexId> controls_;     // [c] = control vertex, ascending
+  std::vector<std::uint32_t> ctrl_deg0_;  // [c] = initial in-degree
 
-  std::vector<std::size_t> edge_base_;   // [v] = id of v's first out-edge
-  std::vector<std::uint32_t> arrow_off_; // [e..e+1) spans arrows_
-  std::vector<ArrowRef> arrows_;         // external-arrow decrement lists
+  std::vector<std::uint32_t> prog_off_;  // units, then controls; [i..i+1)
+  std::vector<FireOp> ops_;              // every program, one arena
 
   std::vector<std::uint32_t> unit_task_; // [(l-1)*units + u] = task at l
   std::vector<double> task_size_;        // flat arena: s(t) per (level, task)

@@ -43,6 +43,9 @@ class GreedyScheduler final : public Scheduler {
     if (level == 1) ready_.push_back(task);
   }
 
+  /// A null pick changes nothing, so skipped picks need no replay.
+  bool skip_picks(std::size_t) override { return true; }
+
   Assignment pick(std::size_t, double) override {
     if (ready_.empty()) return {};
     const int u = ready_.front();

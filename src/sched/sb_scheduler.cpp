@@ -37,7 +37,7 @@ class SbScheduler final : public Scheduler {
 
   void init(SimCore& core) override {
     core_ = &core;
-    const SpawnTree& tree = core.tree();
+    const CondensedDag& dag = core.dag();
     const Pmh& m = core.machine();
     const std::size_t L = core.num_levels();
 
@@ -50,7 +50,7 @@ class SbScheduler final : public Scheduler {
       for (std::size_t i = 0; i < tl.size(); ++i) {
         Task& t = tl[i];
         t.root = d.maximal[i];
-        t.size = tree.size_of(t.root);
+        t.size = dag.task_size(l, static_cast<int>(i));
         t.oversized = t.size > opts_.sigma * m.cache_size(l);
         t.parent =
             l < L ? core.decomposition(l + 1).owner[t.root] : kRoot;
@@ -100,6 +100,10 @@ class SbScheduler final : public Scheduler {
   void on_unit_complete(std::size_t, int) override {
     drain_anchor_worklist();
   }
+
+  /// A null pick only scans empty run queues, so skipped picks need no
+  /// replay.
+  bool skip_picks(std::size_t) override { return true; }
 
   Assignment pick(std::size_t proc, double) override {
     const Pmh& m = core_->machine();

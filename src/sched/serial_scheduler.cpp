@@ -41,6 +41,9 @@ class SerialScheduler final : public Scheduler {
     if (level == 1) ready_.push(task);
   }
 
+  /// A null pick changes nothing, so skipped picks need no replay.
+  bool skip_picks(std::size_t) override { return true; }
+
   Assignment pick(std::size_t proc, double) override {
     if (proc != 0 || ready_.empty()) return {};
     const int u = ready_.top();

@@ -49,9 +49,10 @@ void SimCore::reset(const CondensedDag& dag, const Pmh& machine,
 void SimCore::init_run_state() {
   const std::vector<int>& ext0 = dag_->initial_ext_flat();
   ext_.assign(ext0.begin(), ext0.end());
-  const std::vector<std::uint32_t>& deg0 = dag_->initial_in_degree();
-  in_deg_.assign(deg0.begin(), deg0.end());
-  fired_.assign(dag_->graph().num_vertices(), 0);
+  const std::vector<std::uint32_t>& deg0 = dag_->initial_control_in_degree();
+  ctrl_deg_.assign(deg0.begin(), deg0.end());
+  ready_units_ = 0;
+  counters_ = EngineCounters{};
   cascade_.clear();
   events_.clear();
   idle_.clear();
@@ -165,6 +166,7 @@ void SimCore::charge_condensed_footprints() {
 }
 
 void SimCore::push_event(const Ev& e) {
+  ++counters_.heap_pushes;
   events_.push_back(e);
   std::push_heap(events_.begin(), events_.end(), std::greater<Ev>{});
 }
@@ -176,90 +178,91 @@ SimCore::Ev SimCore::pop_event() {
   return e;
 }
 
-void SimCore::fire_vertex(VertexId v) {
-  if (fired_[v]) return;
-  fired_[v] = 1;
-  const StrandGraph& g = dag_->graph();
-  const std::vector<VertexId>& succ = g.successors(v);
-  std::size_t e = dag_->edge_base(v);
-  for (std::size_t i = 0; i < succ.size(); ++i, ++e) {
-    const VertexId w = succ[i];
-    // Precomputed external-arrow decrements of edge (v, w): the same
-    // boundary-crossing walk the +1 template was built from, frozen into
-    // the dag's arrow CSR at condensation time.
-    for (const CondensedDag::ArrowRef* a = dag_->arrows_begin(e);
-         a != dag_->arrows_end(e); ++a) {
-      int& cnt = ext_[a->flat];
-      if (--cnt == 0) {
-        // Tracing: a unit's queue wait starts when its last external
-        // dependence is satisfied (units ready at t=0 keep the default 0).
-        if (!ready_at_.empty() && a->level == 1)
-          ready_at_[a->flat - dag_->ext_off(1)] = now_;
-        if (ready_hooks_enabled_)
-          policy_->on_task_ready(a->level,
-                                 int(a->flat - dag_->ext_off(a->level)));
-      }
+void SimCore::run_program(std::span<const CondensedDag::FireOp> program) {
+  counters_.fire_ops += program.size();
+  for (const CondensedDag::FireOp& op : program) {
+    if (op.level == 0) {
+      if (--ctrl_deg_[op.target] == 0) cascade_.push_back(op.target);
+      continue;
     }
-    if (--in_deg_[w] == 0 && !fired_[w] && is_control(w))
-      cascade_.push_back(w);
+    if (--ext_[op.target] != 0) continue;
+    const int task = int(op.target - dag_->ext_off(op.level));
+    if (op.level == 1) {
+      // Tracing: a unit's queue wait starts when its last external
+      // dependence is satisfied (units ready at t=0 keep the default 0).
+      if (!ready_at_.empty()) ready_at_[std::size_t(task)] = now_;
+      if (ready_hooks_enabled_) ++ready_units_;
+    }
+    if (ready_hooks_enabled_) policy_->on_task_ready(op.level, task);
   }
-  if (g.is_exit(v)) policy_->on_exit_fired(g.owner(v));
 }
 
 void SimCore::cascade_all() {
+  const StrandGraph& g = dag_->graph();
   while (!cascade_.empty()) {
-    VertexId v = cascade_.back();
+    const std::uint32_t c = cascade_.back();
     cascade_.pop_back();
-    fire_vertex(v);
+    ++counters_.cascade_fires;
+    run_program(dag_->control_program(c));
+    const VertexId v = dag_->control_vertex(c);
+    if (g.is_exit(v)) policy_->on_exit_fired(g.owner(v));
   }
 }
 
 void SimCore::complete_unit(int u) {
-  const NodeId root = dag_->unit_root(u);
-  walk_stack_.clear();
-  walk_order_.clear();
-  walk_stack_.push_back(root);
-  while (!walk_stack_.empty()) {
-    NodeId n = walk_stack_.back();
-    walk_stack_.pop_back();
-    walk_order_.push_back(n);
-    for (NodeId c : tree().node(n).children) walk_stack_.push_back(c);
-  }
-  const StrandGraph& g = dag_->graph();
-  // Children before parents so the unit root's exit fires last.
-  for (auto it = walk_order_.rbegin(); it != walk_order_.rend(); ++it) {
-    fire_vertex(g.enter(*it));
-    fire_vertex(g.exit(*it));
-  }
+  run_program(dag_->unit_program(u));
+  policy_->on_exit_fired(dag_->unit_root(u));
   cascade_all();
+}
+
+void SimCore::assign(std::size_t p, double now) {
+  const Assignment a = policy_->pick(p, now);
+  ++counters_.picks;
+  if (a.unit < 0) {
+    ++counters_.null_picks;
+    still_idle_.push_back(p);
+    return;
+  }
+  NDF_CHECK_MSG(ready_units_ > 0, policy_->name()
+                                      << " picked unit " << a.unit
+                                      << " with no ready unit outstanding");
+  --ready_units_;
+  busy_time_ += a.duration;
+  // Measured occupancy: the unit's footprint runs through every cache
+  // above its processor at unit start. Observational only — duration was
+  // already fixed by the policy's charge model above.
+  if (occ_) touch_unit(p, a.unit);
+  if (opts_.trace)
+    opts_.trace->push_back(TraceEvent{now, now + a.duration,
+                                      static_cast<std::uint32_t>(p),
+                                      dag_->unit_root(a.unit)});
+  if (opts_.sink != nullptr) {
+    opts_.sink->on_queue_wait(ready_at_[std::size_t(a.unit)], now,
+                              static_cast<std::uint32_t>(p), a.unit);
+    opts_.sink->on_unit(now, now + a.duration,
+                        static_cast<std::uint32_t>(p), a.unit,
+                        std::int64_t(dag_->unit_root(a.unit)));
+  }
+  push_event(Ev{now + a.duration, p, a.unit});
 }
 
 void SimCore::dispatch(double now) {
   now_ = now;
   still_idle_.clear();
-  for (std::size_t p : idle_) {
-    const Assignment a = policy_->pick(p, now);
-    if (a.unit < 0) {
-      still_idle_.push_back(p);
-      continue;
+  std::size_t k = 0;
+  while (k < idle_.size() && ready_units_ > 0) assign(idle_[k++], now);
+  if (k < idle_.size()) {
+    // Nothing is ready: every remaining pick would be null. One call lets
+    // the policy account for all of them at once.
+    const std::size_t rest = idle_.size() - k;
+    if (policy_->skip_picks(rest)) {
+      counters_.skipped_picks += rest;
+      if (k == 0) return;  // every processor stays idle, in order
+      still_idle_.insert(still_idle_.end(),
+                         idle_.begin() + std::ptrdiff_t(k), idle_.end());
+    } else {
+      while (k < idle_.size()) assign(idle_[k++], now);
     }
-    busy_time_ += a.duration;
-    // Measured occupancy: the unit's footprint runs through every cache
-    // above its processor at unit start. Observational only — duration was
-    // already fixed by the policy's charge model above.
-    if (occ_) touch_unit(p, a.unit);
-    if (opts_.trace)
-      opts_.trace->push_back(TraceEvent{now, now + a.duration,
-                                        static_cast<std::uint32_t>(p),
-                                        dag_->unit_root(a.unit)});
-    if (opts_.sink != nullptr) {
-      opts_.sink->on_queue_wait(ready_at_[std::size_t(a.unit)], now,
-                                static_cast<std::uint32_t>(p), a.unit);
-      opts_.sink->on_unit(now, now + a.duration,
-                          static_cast<std::uint32_t>(p), a.unit,
-                          std::int64_t(dag_->unit_root(a.unit)));
-    }
-    push_event(Ev{now + a.duration, p, a.unit});
   }
   idle_.swap(still_idle_);
 }
@@ -279,12 +282,14 @@ SchedStats SimCore::run(Scheduler& policy) {
 
   // Initial cascade: fire every dependency-free control vertex. Readiness
   // hooks stay off — the on_start scans cover everything ready at time 0.
-  const StrandGraph& g = dag_->graph();
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (in_deg_[v] == 0 && !fired_[v] && is_control(v)) cascade_.push_back(v);
+  for (std::uint32_t c = 0; c < ctrl_deg_.size(); ++c)
+    if (ctrl_deg_[c] == 0) cascade_.push_back(c);
   cascade_all();
 
   ready_hooks_enabled_ = true;
+  const std::size_t off1 = dag_->ext_off(1);
+  for (std::size_t u = 0; u < num_units(); ++u)
+    if (ext_[off1 + u] == 0) ++ready_units_;
   policy.on_start();
   dispatch(0.0);
 

@@ -2,8 +2,9 @@
 //
 // Every scheduler the paper compares (space-bounded, work-stealing, and the
 // baselines) simulates the same machinery: condense the elaborated strand
-// DAG into σM1-maximal atomic units, fire vertices as units complete,
-// propagate readiness through per-level M-maximal task condensations, run a
+// DAG into σM1-maximal atomic units, run each completed unit's precompiled
+// fire program, propagate readiness through per-level M-maximal task
+// condensations, skip idle picks that cannot succeed, run a
 // time-ordered event loop over the processors, charge misses against the
 // PMH, and account work/utilization into one stats record. SimCore owns all
 // of that; a Scheduler policy only decides *which* ready unit runs *where*
@@ -31,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/events.hpp"
@@ -126,6 +128,30 @@ struct SchedStats {
   double contention_cost = 0.0;
 };
 
+/// Integer counters of the event loop's own work in one run — what the
+/// engine did, as opposed to what the schedule was. Sums are independent of
+/// the order runs are added in, so a sweep's total is the same at every
+/// worker count. Never part of SchedStats or any emitter's output.
+struct EngineCounters {
+  std::uint64_t picks = 0;          ///< Scheduler::pick calls
+  std::uint64_t null_picks = 0;     ///< picks that left the processor idle
+  std::uint64_t skipped_picks = 0;  ///< idle picks a skip_picks call answered
+  std::uint64_t fire_ops = 0;       ///< fire-program ops executed
+  std::uint64_t cascade_fires = 0;  ///< control vertices fired
+  std::uint64_t heap_pushes = 0;    ///< completion events queued
+
+  EngineCounters& operator+=(const EngineCounters& o) {
+    picks += o.picks;
+    null_picks += o.null_picks;
+    skipped_picks += o.skipped_picks;
+    fire_ops += o.fire_ops;
+    cascade_fires += o.cascade_fires;
+    heap_pushes += o.heap_pushes;
+    return *this;
+  }
+  bool operator==(const EngineCounters&) const = default;
+};
+
 class SimCore;
 
 /// A unit chosen to run on a processor, with its full charged duration
@@ -154,8 +180,23 @@ class Scheduler {
   virtual void on_start() = 0;
 
   /// Assign a unit to idle processor `proc` at time `now`, or return a
-  /// negative unit to leave it idle.
+  /// negative unit to leave it idle. Only a unit whose level-1 readiness
+  /// the core has seen (on_start's initially ready units, or an
+  /// on_task_ready(1, u)) may be returned, each at most once.
   virtual Assignment pick(std::size_t proc, double now) = 0;
+
+  /// The core has no ready, undispatched unit left, so each of the `n`
+  /// processors still idle in this dispatch round would get a null pick.
+  /// Return true to have those n picks skipped: the policy must then leave
+  /// itself in exactly the state the n null picks would have (ws records
+  /// the victim draws they would have made and replays them before its
+  /// next random probe). Return false and the core makes the n picks. The
+  /// default is false, so a policy that wraps another — or whose null
+  /// picks have effects it cannot replay — keeps every pick.
+  virtual bool skip_picks(std::size_t n) {
+    (void)n;
+    return false;
+  }
 
   /// A level-`level` maximal task's last external dependence was satisfied
   /// (level 1 = atomic units). Fired for every level, innermost first.
@@ -168,7 +209,10 @@ class Scheduler {
   }
 
   /// The exit vertex of spawn-tree node `n` fired (tasks rooted at `n` are
-  /// complete; the SB policy releases capacity here).
+  /// complete; the SB policy releases capacity here). Delivered only for
+  /// atomic-unit roots (after the unit's whole fire program ran) and for
+  /// control nodes — the nodes outside every unit — never for a node
+  /// strictly inside a unit, which cannot root a maximal task at any level.
   virtual void on_exit_fired(NodeId n) { (void)n; }
 
   /// Atomic unit `unit` finished on `proc` (vertices already fired).
@@ -201,6 +245,9 @@ class SimCore {
              const SchedOptions& opts);
 
   SchedStats run(Scheduler& policy);
+
+  /// Engine counters of the last run (zero before one; reset() clears).
+  const EngineCounters& counters() const { return counters_; }
 
   // --- static structure available from Scheduler::init on -----------------
   const CondensedDag& dag() const { return *dag_; }
@@ -272,11 +319,11 @@ class SimCore {
 
   void init_run_state();
 
-  bool is_control(VertexId v) const {
-    return dag_->decomposition(1).owner[dag_->graph().owner(v)] < 0;
-  }
-
-  void fire_vertex(VertexId v);
+  /// Runs one fire program: decrements its counters in order, reporting
+  /// each task that becomes ready and queueing each control vertex whose
+  /// in-degree reaches zero.
+  void run_program(std::span<const CondensedDag::FireOp> program);
+  /// Fires queued control vertices (LIFO) until none is left.
   void cascade_all();
   /// Runs unit `u`'s footprint through every cache above `proc` (level 1
   /// up) in the occupancy layer; called once per assignment, at unit start.
@@ -287,10 +334,15 @@ class SimCore {
   /// Other processors currently running a unit under the same level-`level`
   /// cache as `proc` — the contention sharer count for a bw > 0 model.
   std::size_t busy_sharers(std::size_t proc, std::size_t level) const;
-  /// Fires all vertices of completed unit `u`, children before parents so
-  /// the unit root's exit fires last.
+  /// Runs completed unit `u`'s fire program, reports its root's exit, then
+  /// fires the control cascade it released.
   void complete_unit(int u);
+  /// Offers every idle processor to the policy; once no ready unit is left
+  /// undispatched, the rest are one skip_picks call.
   void dispatch(double now);
+  /// One pick for idle processor `p`: starts the unit it returns, or keeps
+  /// `p` idle.
+  void assign(std::size_t p, double now);
 
   // The event queue as an explicit vector-heap (std::push_heap/pop_heap
   // with the same comparator std::priority_queue would use, so completion
@@ -309,13 +361,14 @@ class SimCore {
   // Per-run counter arenas, restored from the dag's flat templates on
   // every reset (vector assigns — capacity survives).
   std::vector<int> ext_;  // flat (level, task) arena, dag_->ext_off layout
-  std::vector<char> fired_;
-  std::vector<std::uint32_t> in_deg_;
+  std::vector<std::uint32_t> ctrl_deg_;  // per control vertex
+  // Units whose level-1 counter reached zero and that no pick returned yet.
+  std::size_t ready_units_ = 0;
+  EngineCounters counters_;
 
-  // Reused scratch: the control cascade, complete_unit's subtree walk and
-  // dispatch's idle filter all keep their high-water capacity.
-  std::vector<VertexId> cascade_;
-  std::vector<NodeId> walk_stack_, walk_order_;
+  // Reused scratch: the control cascade (control indices) and dispatch's
+  // idle filter keep their high-water capacity.
+  std::vector<std::uint32_t> cascade_;
   std::vector<std::size_t> idle_, still_idle_;
 
   std::vector<Ev> events_;  // min-heap on time

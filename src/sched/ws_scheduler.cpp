@@ -48,6 +48,15 @@ class WsScheduler final : public Scheduler {
     ready_.clear();
   }
 
+  /// With no ready unit anywhere every deque is empty, so each skipped
+  /// pick would have made its full round of 2p victim draws and found
+  /// nothing. Those draws are owed, not dropped: they are replayed before
+  /// the next random probe, so the victim stream is unchanged.
+  bool skip_picks(std::size_t n) override {
+    owed_draws_ += 2 * core_->machine().num_processors() * n;
+    return true;
+  }
+
   /// Own deque first (LIFO), then steal the oldest unit from a random
   /// victim (one round of up to 2p attempts).
   Assignment pick(std::size_t proc, double) override {
@@ -58,6 +67,8 @@ class WsScheduler final : public Scheduler {
       deque_[proc].pop_back();
     } else {
       const std::size_t np = core_->machine().num_processors();
+      rng_.discard(owed_draws_);
+      owed_draws_ = 0;
       for (std::size_t tries = 0; tries < 2 * np && u < 0; ++tries) {
         const std::size_t victim = rng_.below(np);
         if (victim != proc && !deque_[victim].empty()) {
@@ -108,6 +119,7 @@ class WsScheduler final : public Scheduler {
   std::vector<std::vector<int>> resident_; // resident_[p][l-1] = task id
   std::vector<int> ready_;                 // units readied since last pick
   Rng rng_;
+  std::uint64_t owed_draws_ = 0;           // victim draws of skipped picks
 };
 
 }  // namespace

@@ -91,10 +91,11 @@ bool fifo_before(const Admission& a, const Admission& b) {
 class CellRunner {
  public:
   /// `sink` is the scenario's trace sink for grid cell 0, null elsewhere.
+  /// Every job's engine counters are added to `engine`.
   CellRunner(const ServeScenario& s, const StreamPlan& plan, const Pmh& m,
              double sigma, const std::string& policy,
              const std::vector<const CondensedDag*>& dags,
-             obs::TraceSink* sink)
+             obs::TraceSink* sink, EngineCounters& engine)
       : s_(s),
         plan_(plan),
         m_(m),
@@ -102,6 +103,7 @@ class CellRunner {
         policy_(policy),
         dags_(dags),
         sink_(sink),
+        engine_(engine),
         edf_(scheduler_deadline_aware(policy)) {}
 
   void run(ServeCell& cell) {
@@ -155,6 +157,7 @@ class CellRunner {
     else
       core_ = std::make_unique<SimCore>(dag, m_, opts);
     const SchedStats stats = core_->run(*sched);
+    engine_ += core_->counters();
 
     JobRecord rec;
     rec.job = a.job;
@@ -327,6 +330,7 @@ class CellRunner {
   const std::string& policy_;
   const std::vector<const CondensedDag*>& dags_;
   obs::TraceSink* sink_;
+  EngineCounters& engine_;
   bool edf_;
   // One simulator core serves the whole stream: reset()-rebound per job,
   // occupancy carried across jobs when measuring.
@@ -339,6 +343,7 @@ class CellRunner {
 /// by different workers (exp/sweep.cpp, ResultSlot).
 struct alignas(64) CellSlot {
   ServeCell cell;
+  EngineCounters engine;
 };
 
 }  // namespace
@@ -403,6 +408,7 @@ const std::vector<ServeCell>& ServeSweep::run() {
   if (ran_) return results_;
   results_.clear();
   condensations_ = 0;
+  engine_counters_ = {};
   validate(scenario_);
 
   std::vector<Pmh> machines;
@@ -497,7 +503,8 @@ const std::vector<ServeCell>& ServeSweep::run() {
             CellRunner runner(scenario_, plan, machines[m],
                               scenario_.sigmas[g], scenario_.policies[p],
                               cell_dags,
-                              i == 0 ? scenario_.trace_sink : nullptr);
+                              i == 0 ? scenario_.trace_sink : nullptr,
+                              slots[i].engine);
             runner.run(slots[i].cell);
             progress.tick();
           }
@@ -505,13 +512,17 @@ const std::vector<ServeCell>& ServeSweep::run() {
     progress.finish();
 
     results_.reserve(cells);
-    for (CellSlot& s : slots) results_.push_back(std::move(s.cell));
+    for (CellSlot& s : slots) {
+      results_.push_back(std::move(s.cell));
+      engine_counters_ += s.engine;
+    }
     condensations_ = dags.size();
   } catch (...) {
     // A failed run leaves the object as if run() was never called
     // (exp/sweep.cpp's contract).
     results_.clear();
     condensations_ = 0;
+    engine_counters_ = {};
     throw;
   }
 

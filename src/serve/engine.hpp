@@ -37,6 +37,7 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "pmh/cache_model.hpp"
+#include "sched/sim_core.hpp"
 #include "serve/arrivals.hpp"
 
 namespace ndf::serve {
@@ -161,6 +162,9 @@ class ServeSweep {
   /// CondensedDags built (== distinct workload × σ × cache-profile
   /// combinations). Zero until a run completes.
   std::size_t condensations_built() const { return condensations_; }
+  /// Engine counters summed over every job of every cell of the completed
+  /// run (zeros before/without one) — equal at every `jobs` value.
+  const EngineCounters& engine_counters() const { return engine_counters_; }
   std::size_t jobs() const { return jobs_; }
 
  private:
@@ -168,6 +172,7 @@ class ServeSweep {
   std::size_t jobs_ = 0;
   std::vector<ServeCell> results_;
   std::size_t condensations_ = 0;
+  EngineCounters engine_counters_;
   bool ran_ = false;
 };
 

@@ -433,6 +433,26 @@ TEST(Sweep, PhaseTimesAccountForACompletedRun) {  // X7
   }
 }
 
+TEST(Sweep, EngineCountersEqualAtEveryJobsValue) {  // X7
+  const exp::Scenario s = small_scenario();
+  exp::Sweep serial(s, 1);
+  EXPECT_EQ(serial.engine_counters(), EngineCounters{});
+  const auto& runs = serial.run();
+  std::uint64_t units = 0;
+  for (const exp::RunPoint& pt : runs) units += pt.stats.atomic_units;
+  const EngineCounters& c = serial.engine_counters();
+  // Every unit is dispatched by exactly one non-null pick and queues one
+  // completion event.
+  EXPECT_EQ(c.heap_pushes, units);
+  EXPECT_EQ(c.picks - c.null_picks, units);
+  EXPECT_GT(c.fire_ops, 0u);
+  for (const std::size_t jobs : {2u, 4u}) {
+    exp::Sweep parallel(s, jobs);
+    parallel.run();
+    EXPECT_EQ(parallel.engine_counters(), c) << jobs << " jobs";
+  }
+}
+
 TEST(Sweep, ParallelBuildsEachCondensationExactlyOnce) {  // X7
   exp::Scenario s;
   s.workloads = exp::parse_workload_list("mm:n=32");

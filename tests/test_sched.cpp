@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <span>
 
 #include "algos/lcs.hpp"
 #include "algos/matmul.hpp"
@@ -12,6 +14,7 @@
 #include "exp/workload.hpp"
 #include "nd/drs.hpp"
 #include "pmh/presets.hpp"
+#include "sched/registry.hpp"
 #include "sched/sb_scheduler.hpp"
 #include "sched/ws_scheduler.hpp"
 
@@ -206,6 +209,161 @@ TEST(WsScheduler, VictimStreamPinnedOnSixteenProcessors) {
     EXPECT_EQ(s.misses[0], want.misses);
     EXPECT_EQ(s.miss_cost, want.misses * m.miss_cost(1));
     EXPECT_EQ(trace_fingerprint(trace), want.fingerprint);
+  }
+}
+
+TEST(FirePrograms, MatchTheDependenceTemplates) {
+  // Every +1 in the external-dependence template has exactly one matching
+  // decrement, the in-degree ops into each control vertex add up to its
+  // in-degree, and the unit programs cover every non-control vertex once.
+  for (const char* spec :
+       {"mm:n=32", "lcs:n=128", "trs:n=32,np",
+        "gen:family=sp,depth=6,fan=3,seed=7", "gen:family=wavefront,n=12",
+        "gen:family=chain,n=64"}) {
+    const exp::Workload w(exp::parse_workload(spec));
+    const StrandGraph& g = w.graph();
+    for (const char* machine : {"flat:p=8,m1=192,c1=10", "deep2x4"}) {
+      SCOPED_TRACE(std::string(spec) + " on " + machine);
+      const CondensedDag dag(g, level_cache_sizes(make_pmh(machine)),
+                             1.0 / 3.0);
+      std::vector<int> ext_decrements(dag.ext_arena_size(), 0);
+      std::vector<std::uint32_t> deg_decrements(dag.num_controls(), 0);
+      std::size_t ops = 0;
+      auto tally = [&](std::span<const CondensedDag::FireOp> program) {
+        ops += program.size();
+        for (const CondensedDag::FireOp& op : program) {
+          if (op.level == 0) {
+            ASSERT_LT(op.target, dag.num_controls());
+            ++deg_decrements[op.target];
+          } else {
+            ASSERT_LE(op.level, dag.num_levels());
+            ASSERT_GE(op.target, dag.ext_off(op.level));
+            ++ext_decrements[op.target];
+          }
+        }
+      };
+      for (std::size_t u = 0; u < dag.num_units(); ++u)
+        tally(dag.unit_program(int(u)));
+      for (std::size_t c = 0; c < dag.num_controls(); ++c)
+        tally(dag.control_program(c));
+      EXPECT_EQ(ops, dag.fire_op_count());
+      EXPECT_EQ(ext_decrements, dag.initial_ext_flat());
+      for (std::size_t c = 0; c < dag.num_controls(); ++c) {
+        EXPECT_EQ(deg_decrements[c], dag.initial_control_in_degree()[c]);
+        EXPECT_EQ(deg_decrements[c],
+                  g.in_degree(dag.control_vertex(c)));
+      }
+
+      // Control vertices are exactly the glue nodes' vertices, ascending;
+      // the unit fire orders partition all the others.
+      std::vector<int> seen(g.num_vertices(), 0);
+      for (std::size_t c = 0; c < dag.num_controls(); ++c) {
+        const VertexId v = dag.control_vertex(c);
+        EXPECT_LT(dag.decomposition(1).owner[g.owner(v)], 0);
+        if (c > 0) {
+          EXPECT_LT(dag.control_vertex(c - 1), v);
+        }
+        seen[v] = -1;
+      }
+      std::vector<VertexId> order;
+      for (std::size_t u = 0; u < dag.num_units(); ++u) {
+        order.clear();
+        dag.unit_fire_order(int(u), order);
+        ASSERT_FALSE(order.empty());
+        // The unit root's exit fires last, after all of its descendants.
+        EXPECT_EQ(order.back(), g.exit(dag.unit_root(int(u))));
+        for (VertexId v : order) {
+          EXPECT_EQ(dag.decomposition(1).owner[g.owner(v)], int(u));
+          ++seen[v];
+        }
+      }
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (seen[v] >= 0) {
+          EXPECT_EQ(seen[v], 1) << "vertex " << v;
+        }
+      }
+    }
+  }
+}
+
+/// Forwards every hook to a registry policy but keeps the default
+/// skip_picks, so the core makes every idle pick the way it did before
+/// picks could be skipped.
+class EveryPick final : public Scheduler {
+ public:
+  explicit EveryPick(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  const char* name() const override { return inner_->name(); }
+  void init(SimCore& core) override { inner_->init(core); }
+  void on_start() override { inner_->on_start(); }
+  Assignment pick(std::size_t proc, double now) override {
+    return inner_->pick(proc, now);
+  }
+  void on_task_ready(std::size_t level, int task) override {
+    inner_->on_task_ready(level, task);
+  }
+  void on_exit_fired(NodeId n) override { inner_->on_exit_fired(n); }
+  void on_unit_complete(std::size_t proc, int unit) override {
+    inner_->on_unit_complete(proc, unit);
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+TEST(SkipPicks, SkippingPolicyMatchesOneThatPicksEveryTime) {
+  // The skip contract: a policy that answers skip_picks must end up with
+  // the schedule it would have produced from the null picks themselves —
+  // for ws that means the replayed victim draws keep the RNG stream.
+  for (const char* spec :
+       {"gen:family=chain,n=256", "gen:family=forkjoin,depth=8,fan=24",
+        "gen:family=wavefront,n=24", "gen:family=sp,depth=7,fan=3,seed=5",
+        "lcs:n=128"}) {
+    const exp::Workload w(exp::parse_workload(spec));
+    for (const char* machine : {"flat16", "deep2x4", "flat:p=3,m1=192,c1=10"}) {
+      const Pmh m = make_pmh(machine);
+      for (const char* policy : {"sb", "ws", "greedy", "serial", "edf"}) {
+        for (std::uint64_t seed : {1u, 2u}) {
+          SCOPED_TRACE(std::string(spec) + " on " + machine + ", " + policy +
+                       " seed " + std::to_string(seed));
+          SchedOptions o;
+          o.seed = seed;
+          o.measure_misses = true;
+          Trace skipped_trace, full_trace;
+          o.trace = &skipped_trace;
+          SimCore skipping(w.graph(), m, o);
+          const auto skip_policy = make_scheduler(policy, o);
+          const SchedStats a = skipping.run(*skip_policy);
+          o.trace = &full_trace;
+          SimCore full(w.graph(), m, o);
+          EveryPick every(make_scheduler(policy, o));
+          const SchedStats b = full.run(every);
+
+          EXPECT_EQ(a.makespan, b.makespan);
+          EXPECT_EQ(a.steals, b.steals);
+          EXPECT_EQ(a.anchors, b.anchors);
+          EXPECT_EQ(a.misses, b.misses);
+          EXPECT_EQ(a.measured_misses, b.measured_misses);
+          EXPECT_EQ(a.utilization, b.utilization);
+          EXPECT_EQ(trace_fingerprint(skipped_trace),
+                    trace_fingerprint(full_trace));
+
+          // Same work, but only the full run picks for processors that
+          // cannot get anything.
+          const EngineCounters& ca = skipping.counters();
+          const EngineCounters& cb = full.counters();
+          EXPECT_EQ(cb.skipped_picks, 0u);
+          EXPECT_EQ(ca.picks + ca.skipped_picks, cb.picks);
+          EXPECT_EQ(ca.picks - ca.null_picks, skipping.num_units());
+          EXPECT_EQ(cb.picks - cb.null_picks, full.num_units());
+          EXPECT_EQ(ca.heap_pushes, skipping.num_units());
+          EXPECT_EQ(ca.fire_ops, cb.fire_ops);
+          EXPECT_EQ(ca.cascade_fires, cb.cascade_fires);
+          EXPECT_EQ(ca.cascade_fires, skipping.dag().num_controls());
+          EXPECT_EQ(ca.fire_ops, skipping.dag().fire_op_count());
+        }
+      }
+    }
   }
 }
 

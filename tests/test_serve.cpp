@@ -342,6 +342,11 @@ TEST(ServeEngine, ByteIdenticalAcrossJobsAndReruns) {  // V6
     EXPECT_EQ(a, emit_everything(parallel)) << "misses=" << misses;
     EXPECT_EQ(a, emit_everything(rerun)) << "misses=" << misses;
     EXPECT_EQ(serial.condensations_built(), parallel.condensations_built());
+    // Engine counters are integer sums over every job: equal at any
+    // worker count, and one heap push per unit of every served job.
+    EXPECT_EQ(serial.engine_counters(), parallel.engine_counters())
+        << "misses=" << misses;
+    EXPECT_GT(serial.engine_counters().heap_pushes, 0u);
     // 2 workloads × 2 σ × 2 distinct cache profiles.
     EXPECT_EQ(serial.condensations_built(), 8u);
   }
