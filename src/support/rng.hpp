@@ -30,28 +30,14 @@ class Rng {
 
   result_type operator()() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    advance();
     return result;
   }
 
   /// Advances the state past `n` draws without producing them: afterwards
   /// the generator is exactly where n calls of operator() would leave it.
   void discard(std::uint64_t n) {
-    for (; n > 0; --n) {
-      const std::uint64_t t = s_[1] << 17;
-      s_[2] ^= s_[0];
-      s_[3] ^= s_[1];
-      s_[1] ^= s_[2];
-      s_[0] ^= s_[3];
-      s_[2] ^= t;
-      s_[3] = rotl(s_[3], 45);
-    }
+    for (; n > 0; --n) advance();
   }
 
   /// Uniform in [0, n). n must be > 0.
@@ -66,6 +52,15 @@ class Rng {
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
  private:
+  void advance() {
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+  }
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
