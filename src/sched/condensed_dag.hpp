@@ -113,9 +113,6 @@ class CondensedDag {
   std::span<const FireOp> control_program(std::size_t c) const {
     return program(num_units() + c);
   }
-  /// Total ops across every program (the arena's size).
-  std::size_t fire_op_count() const { return ops_.size(); }
-
   /// Appends unit u's vertices to `out` in the order its completion fires
   /// them: children before parents (so the unit root's exit comes last),
   /// enter before exit. The order unit u's program was compiled in.

@@ -228,9 +228,7 @@ TEST(FirePrograms, MatchTheDependenceTemplates) {
                              1.0 / 3.0);
       std::vector<int> ext_decrements(dag.ext_arena_size(), 0);
       std::vector<std::uint32_t> deg_decrements(dag.num_controls(), 0);
-      std::size_t ops = 0;
       auto tally = [&](std::span<const CondensedDag::FireOp> program) {
-        ops += program.size();
         for (const CondensedDag::FireOp& op : program) {
           if (op.level == 0) {
             ASSERT_LT(op.target, dag.num_controls());
@@ -246,7 +244,6 @@ TEST(FirePrograms, MatchTheDependenceTemplates) {
         tally(dag.unit_program(int(u)));
       for (std::size_t c = 0; c < dag.num_controls(); ++c)
         tally(dag.control_program(c));
-      EXPECT_EQ(ops, dag.fire_op_count());
       EXPECT_EQ(ext_decrements, dag.initial_ext_flat());
       for (std::size_t c = 0; c < dag.num_controls(); ++c) {
         EXPECT_EQ(deg_decrements[c], dag.initial_control_in_degree()[c]);
@@ -360,7 +357,6 @@ TEST(SkipPicks, SkippingPolicyMatchesOneThatPicksEveryTime) {
           EXPECT_EQ(ca.fire_ops, cb.fire_ops);
           EXPECT_EQ(ca.cascade_fires, cb.cascade_fires);
           EXPECT_EQ(ca.cascade_fires, skipping.dag().num_controls());
-          EXPECT_EQ(ca.fire_ops, skipping.dag().fire_op_count());
         }
       }
     }
