@@ -212,6 +212,89 @@ TEST(WsScheduler, VictimStreamPinnedOnSixteenProcessors) {
   }
 }
 
+TEST(SbScheduler, SchedulePinnedOnFlatAndDeepMachines) {
+  // Full sb stats and schedule fingerprints for four generated families on
+  // one flat and two two-level machines, with measured occupancy on. The
+  // anchoring order (capacity-blocked retries, subcluster leases, run-queue
+  // placement) decides which unit runs where and when, so any change to
+  // how sb chooses an anchor or orders its retries shows up here. Values
+  // recorded from the engine before known-null picks were skipped and
+  // before the blocked-retry fast paths; never re-baseline.
+  struct Golden {
+    const char* workload;
+    const char* machine;
+    double makespan;
+    std::size_t units;
+    std::size_t anchors;
+    std::vector<double> misses;
+    std::vector<double> measured;
+    double comm_cost;
+    double utilization;
+    std::uint64_t fingerprint;
+  };
+  const Golden golden[] = {
+      {"gen:family=wavefront,n=32", "flat16", 168960, 1024, 1024, {65536},
+       {65536}, 655360, 0.26666666666666666, 0x2e6d349f9ffd2577ULL},
+      {"gen:family=wavefront,n=32", "deep2x4", 295936, 1024, 2048,
+       {65536, 65536}, {65536, 65536}, 2162688, 0.94117647058823528,
+       0xf4f32ebe7c912242ULL},
+      {"gen:family=wavefront,n=32", "deep4x4", 174080, 1024, 2048,
+       {65536, 65536}, {65536, 65536}, 2162688, 0.80000000000000004,
+       0xad2568cf953110f9ULL},
+      {"gen:family=forkjoin,depth=64,fan=48", "flat16", 180224, 3072, 3072,
+       {196608}, {196608}, 1966080, 0.75, 0x8a58e73eda669025ULL},
+      {"gen:family=forkjoin,depth=64,fan=48", "deep2x4", 835584, 3072, 6144,
+       {196608, 196608}, {196608, 196608}, 6488064, 1,
+       0x3fbef884a3dde253ULL},
+      {"gen:family=forkjoin,depth=64,fan=48", "deep4x4", 417792, 3072, 6144,
+       {196608, 196608}, {196608, 196608}, 6488064, 1,
+       0x6b9b63bca637159fULL},
+      {"gen:family=diamond,depth=32,fan=24", "flat16", 135168, 832, 832,
+       {53248}, {53248}, 532480, 0.27083333333333331, 0xf1ee9d4dc743ca83ULL},
+      {"gen:family=diamond,depth=32,fan=24", "deep2x4", 348160, 832, 1664,
+       {53248, 53248}, {53248, 53248}, 1757184, 0.65000000000000002,
+       0xc66dc2ed4c2fb93fULL},
+      {"gen:family=diamond,depth=32,fan=24", "deep4x4", 278528, 832, 1664,
+       {53248, 53248}, {53248, 53248}, 1757184, 0.40625,
+       0xbfc2ddc537603778ULL},
+      {"gen:family=sp,depth=8,fan=4,cross=60,seed=11", "flat16", 242308, 999,
+       999, {128120}, {128120}, 1281200, 0.36351461775921556,
+       0x3a8f8d2c02a0cbc1ULL},
+      {"gen:family=sp,depth=8,fan=4,cross=60,seed=11", "deep2x4",
+       1114407.0912661885, 1941, 2209, {128120, 128120}, {128120, 128120},
+       4227960, 0.48860959721759079, 0x0cf73584062b9fc4ULL},
+      {"gen:family=sp,depth=8,fan=4,cross=60,seed=11", "deep4x4",
+       705258.24271561741, 1941, 2209, {128120, 128120}, {128120, 128120},
+       4227960, 0.38603589934897325, 0x85c8239efaadab1eULL},
+  };
+  for (const Golden& want : golden) {
+    SCOPED_TRACE(std::string(want.workload) + " on " + want.machine);
+    const exp::Workload w(exp::parse_workload(want.workload));
+    const Pmh m = make_pmh(want.machine);
+    Trace trace;
+    SchedOptions o;
+    o.measure_misses = true;
+    o.trace = &trace;
+    const SchedStats s = run_sb_scheduler(w.graph(), m, o);
+    EXPECT_EQ(s.makespan, want.makespan);
+    EXPECT_EQ(s.total_work, w.graph().work());
+    EXPECT_EQ(s.atomic_units, want.units);
+    EXPECT_EQ(s.anchors, want.anchors);
+    EXPECT_EQ(s.steals, 0u);
+    EXPECT_EQ(s.misses, want.misses);
+    double miss_cost = 0.0;
+    for (std::size_t l = 1; l <= want.misses.size(); ++l)
+      miss_cost += want.misses[l - 1] * m.miss_cost(l);
+    EXPECT_EQ(s.miss_cost, miss_cost);
+    EXPECT_EQ(s.measured_misses, want.measured);
+    EXPECT_EQ(s.comm_cost, want.comm_cost);
+    EXPECT_EQ(s.utilization, want.utilization);
+    EXPECT_TRUE(s.measured_writebacks.empty());
+    EXPECT_EQ(s.contention_cost, 0.0);
+    EXPECT_EQ(trace_fingerprint(trace), want.fingerprint);
+  }
+}
+
 TEST(FirePrograms, MatchTheDependenceTemplates) {
   // Every +1 in the external-dependence template has exactly one matching
   // decrement, the in-degree ops into each control vertex add up to its
