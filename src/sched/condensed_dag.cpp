@@ -42,17 +42,36 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
   }
   ext0_flat_.assign(arena, 0);
 
-  task_units_.resize(L);
-  for (std::size_t l = 1; l <= L; ++l)
-    task_units_[l - 1].assign(dec_[l - 1].maximal.size(), 0);
-
+  // Unit → task at every level, and each task's first unit. Because
+  // sizes never shrink going up, a unit's level-l task contains its
+  // level-(l-1) task, and every level's tasks come out of the depth-first
+  // unit walk in index order with no gaps — checked here, so the nesting
+  // accessors in the header may rely on it.
+  for (std::size_t l = 2; l <= L; ++l)
+    NDF_CHECK_MSG(sizes_[l - 1] >= sizes_[l - 2],
+                  "condensation cache sizes must not shrink going up");
   unit_task_.resize(L * num_units());
-  for (std::size_t u = 0; u < num_units(); ++u)
-    for (std::size_t l = 1; l <= L; ++l) {
-      const int t = dec_[l - 1].owner[dec_[0].maximal[u]];
+  first_unit_.assign(arena, 0);
+  for (std::size_t l = 1; l <= L; ++l) {
+    const Decomposition& d = dec_[l - 1];
+    std::size_t seen = 0;  // tasks of this level met so far
+    for (std::size_t u = 0; u < num_units(); ++u) {
+      const int t = d.owner[dec_[0].maximal[u]];
+      // Either the task of the previous unit or the next one in order.
+      NDF_CHECK(t >= 0 && std::size_t(t) + 1 >= seen &&
+                std::size_t(t) <= seen);
+      if (std::size_t(t) == seen)
+        first_unit_[ext_off_[l - 1] + seen++] = std::uint32_t(u);
       unit_task_[(l - 1) * num_units() + u] = std::uint32_t(t);
-      ++task_units_[l - 1][t];
+      // The unit's level-(l-1) task is rooted inside its level-l task.
+      if (l > 1) {
+        const NodeId below = dec_[l - 2].maximal[unit_task(l - 1, int(u))];
+        NDF_CHECK(d.owner[below] == t);
+      }
     }
+    NDF_CHECK_MSG(seen == d.maximal.size(),
+                  "a level-" << l << " maximal task holds no atomic unit");
+  }
 
   task_size_.resize(arena);
   level_footprint_.assign(L, 0.0);

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/decompose.hpp"
@@ -55,9 +56,41 @@ class CondensedDag {
   double unit_work(int u) const { return unit_work_[u]; }
   double total_work() const { return total_work_; }
 
-  /// Atomic units inside level-`level` maximal task `t`.
+  // --- task nesting ---------------------------------------------------------
+  //
+  // Maximal tasks of every level and the atomic units are all indexed in
+  // spawn-tree (depth-first, left-to-right) order, and cache sizes never
+  // shrink going up, so each level-l task is the disjoint union of a
+  // contiguous run of level-(l-1) tasks and of a contiguous run of units.
+  // The construction checks this nesting; the accessors below read it off
+  // the flat unit_task table and one first-unit offset per task.
+
+  /// First atomic unit of level-`level` maximal task `t`.
+  std::size_t task_first_unit(std::size_t level, int t) const {
+    return first_unit_[ext_off_[level - 1] + std::size_t(t)];
+  }
+  /// Atomic units inside level-`level` maximal task `t`: the contiguous
+  /// range [task_first_unit, task_first_unit + task_units).
   std::size_t task_units(std::size_t level, int t) const {
-    return task_units_[level - 1][t];
+    const std::size_t next =
+        std::size_t(t) + 1 < decomposition(level).maximal.size()
+            ? task_first_unit(level, t + 1)
+            : num_units();
+    return next - task_first_unit(level, t);
+  }
+  /// Level-(level+1) maximal task containing level-`level` task `t`, or -1
+  /// for a task of the top level.
+  int task_parent(std::size_t level, int t) const {
+    return level < num_levels()
+               ? unit_task(level + 1, int(task_first_unit(level, t)))
+               : -1;
+  }
+  /// Level-(level-1) maximal tasks inside level-`level` task `t` (level >=
+  /// 2): the contiguous index range [first, second).
+  std::pair<int, int> task_children(std::size_t level, int t) const {
+    const std::size_t u = task_first_unit(level, t);
+    return {unit_task(level - 1, int(u)),
+            unit_task(level - 1, int(u + task_units(level, t) - 1)) + 1};
   }
 
   // --- flat run-state templates (contiguous arenas, memcpy-resettable) ----
@@ -171,8 +204,7 @@ class CondensedDag {
   double sigma_;
   std::vector<double> sizes_;
 
-  std::vector<Decomposition> dec_;                    // dec_[l-1] = σM_l
-  std::vector<std::vector<std::size_t>> task_units_;  // [l-1][task]
+  std::vector<Decomposition> dec_;  // dec_[l-1] = σM_l
   std::vector<double> unit_work_;
   double total_work_ = 0.0;
 
@@ -185,6 +217,7 @@ class CondensedDag {
   std::vector<FireOp> ops_;              // every program, one arena
 
   std::vector<std::uint32_t> unit_task_; // [(l-1)*units + u] = task at l
+  std::vector<std::uint32_t> first_unit_; // flat arena: first unit per task
   std::vector<double> task_size_;        // flat arena: s(t) per (level, task)
   std::vector<double> level_footprint_;  // [l-1] = Σ_t s(t)
 };

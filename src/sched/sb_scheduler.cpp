@@ -1,8 +1,10 @@
 #include "sched/sb_scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "analysis/pcc.hpp"
@@ -12,87 +14,100 @@ namespace ndf {
 
 namespace {
 
-constexpr int kRoot = -1;
-
-/// Per-maximal-task anchoring state at one cache level. Readiness (the
-/// external-dependence count) lives in the core.
+/// Per-run anchoring state of one maximal task, in a flat arena laid out
+/// like the core's dependence counters (CondensedDag::ext_off(level) +
+/// task). Size, parent and children are static and read from the
+/// condensation; readiness (the external-dependence count) lives in the
+/// core.
 struct Task {
-  NodeId root = kNoNode;
-  double size = 0.0;
-  int parent = kRoot;      ///< task index at the level above (kRoot = memory)
-  bool oversized = false;  ///< size > σM at this level (a big strand)
+  /// Leased level-(l-1) subclusters of the anchor: bit k is subcluster
+  /// anchor_cache·f + k, f = fanout(l).
+  std::uint64_t lease = 0;
+  int anchor_cache = -1;  ///< cache index at this level; -1 while
+                          ///< unanchored and for a task larger than σM
   bool anchored = false;
   bool in_pending = false;
-  int anchor_cache = -1;           ///< cache index at this level
-  std::vector<std::size_t> lease;  ///< leased child-cache indices
+};
+
+/// A run queue: FIFO of atomic units. Each unit is queued at most once per
+/// run, so the vector stays within the unit count; it rewinds whenever it
+/// drains.
+class UnitQueue {
+ public:
+  bool empty() const { return head_ == units_.size(); }
+  void push(int u) { units_.push_back(u); }
+  int pop() {
+    const int u = units_[head_++];
+    if (empty()) {
+      units_.clear();
+      head_ = 0;
+    }
+    return u;
+  }
+
+ private:
+  std::vector<int> units_;
+  std::size_t head_ = 0;
 };
 
 /// The "sb" policy: anchoring, boundedness and allocation over the core's
 /// readiness/event machinery.
 class SbScheduler final : public Scheduler {
  public:
-  explicit SbScheduler(const SchedOptions& opts) : opts_(opts) {}
+  explicit SbScheduler(const SchedOptions& opts)
+      : sigma_(opts.sigma), alpha_prime_(opts.alpha_prime) {}
 
   const char* name() const override { return "sb"; }
 
   void init(SimCore& core) override {
     core_ = &core;
-    const CondensedDag& dag = core.dag();
-    const Pmh& m = core.machine();
-    const std::size_t L = core.num_levels();
+    dag_ = &core.dag();
+    m_ = &core.machine();
+    levels_ = core.num_levels();
 
-    task_.resize(L);
-    kids_.assign(L, {});
-    for (std::size_t l = 1; l <= L; ++l) {
-      const Decomposition& d = core.decomposition(l);
-      auto& tl = task_[l - 1];
-      tl.resize(d.maximal.size());
-      for (std::size_t i = 0; i < tl.size(); ++i) {
-        Task& t = tl[i];
-        t.root = d.maximal[i];
-        t.size = dag.task_size(l, static_cast<int>(i));
-        t.oversized = t.size > opts_.sigma * m.cache_size(l);
-        t.parent =
-            l < L ? core.decomposition(l + 1).owner[t.root] : kRoot;
-      }
+    cap_.resize(levels_);
+    fanout_.resize(levels_);
+    cache_off_.resize(levels_);
+    std::size_t caches = 0;
+    for (std::size_t l = 1; l <= levels_; ++l) {
+      cap_[l - 1] = sigma_ * m_->cache_size(l);
+      fanout_[l - 1] = m_->fanout(l);
+      NDF_CHECK_MSG(l == 1 || fanout_[l - 1] <= 64,
+                    "sb leases subclusters through a 64-bit mask; level "
+                        << l << " has fanout " << fanout_[l - 1]);
+      cache_off_[l - 1] = caches;
+      caches += m_->num_caches(l);
     }
-    for (std::size_t l = 2; l <= L; ++l) {
-      kids_[l - 1].resize(task_[l - 1].size());
-      for (std::size_t i = 0; i < task_[l - 2].size(); ++i) {
-        const int p = task_[l - 2][i].parent;
-        NDF_CHECK(p >= 0);
-        kids_[l - 1][p].push_back(static_cast<int>(i));
-      }
-    }
+    used_.assign(caches, 0.0);
+    leased_.assign(caches, 0);
+    runq_.assign(caches, UnitQueue{});
+    const std::size_t p = m_->num_processors();
+    proc_q_.resize(p * levels_);
+    for (std::size_t proc = 0; proc < p; ++proc)
+      for (std::size_t l = 1; l <= levels_; ++l)
+        proc_q_[proc * levels_ + l - 1] =
+            cache_off_[l - 1] + m_->cache_above(proc, l);
+    queued_ = 0;
+    top_dirty_ = true;
 
+    task_.assign(dag_->ext_arena_size(), Task{});
+    pending_.assign(levels_, {});
     unit_dur_ = &core.distributed_unit_durations();
-    unit_dispatched_.assign(core.num_units(), false);
-
-    used_.resize(L);
-    leased_to_.resize(L);
-    runq_.resize(L);
-    pending_.assign(L, {});
-    for (std::size_t l = 1; l <= L; ++l) {
-      used_[l - 1].assign(m.num_caches(l), 0.0);
-      leased_to_[l - 1].assign(m.num_caches(l), -1);
-      runq_[l - 1].resize(m.num_caches(l));
-    }
   }
 
   void on_start() override {
     // Seed anchoring with every dependency-free task, top level first.
-    const std::size_t L = core_->num_levels();
-    for (std::size_t l = L; l >= 1; --l) {
-      for (std::size_t i = 0; i < task_[l - 1].size(); ++i)
-        if (core_->task_ext(l, static_cast<int>(i)) == 0)
-          to_try_.push_back({l, static_cast<int>(i)});
+    for (std::size_t l = levels_; l >= 1; --l) {
+      const std::size_t n = dag_->decomposition(l).maximal.size();
+      for (std::size_t i = 0; i < n; ++i)
+        if (core_->task_ext(l, int(i)) == 0) to_try_.push_back({l, int(i)});
       if (l == 1) break;
     }
     drain_anchor_worklist();
   }
 
   void on_task_ready(std::size_t level, int t) override {
-    if (!task_[level - 1][t].anchored) to_try_.push_back({level, t});
+    if (!task(level, t).anchored) to_try_.push_back({level, t});
   }
 
   void on_exit_fired(NodeId n) override { release_if_task_done(n); }
@@ -101,41 +116,66 @@ class SbScheduler final : public Scheduler {
     drain_anchor_worklist();
   }
 
+  /// A pick succeeds exactly when the memory-level queue or a run queue
+  /// above the processor holds a unit, and a null pick only scans empty
+  /// queues, so every other processor can be passed over.
+  std::size_t next_pick(std::span<const std::size_t> idle,
+                        std::size_t from) override {
+    if (!runq_mem_.empty()) return from;
+    if (queued_ == 0) return idle.size();
+    for (std::size_t k = from; k < idle.size(); ++k)
+      for (std::size_t l = 0; l < levels_; ++l)
+        if (!runq_[proc_q_[idle[k] * levels_ + l]].empty()) return k;
+    return idle.size();
+  }
+
   /// A null pick only scans empty run queues, so skipped picks need no
   /// replay.
   bool skip_picks(std::size_t) override { return true; }
 
   Assignment pick(std::size_t proc, double) override {
-    const Pmh& m = core_->machine();
-    for (std::size_t l = 1; l <= core_->num_levels(); ++l) {
-      auto& q = runq_[l - 1][m.cache_above(proc, l)];
+    for (std::size_t l = 0; l < levels_; ++l) {
+      UnitQueue& q = runq_[proc_q_[proc * levels_ + l]];
       if (!q.empty()) {
-        const int u = q.front();
-        q.pop_front();
+        --queued_;
+        const int u = q.pop();
         return {u, (*unit_dur_)[u]};
       }
     }
     if (!runq_mem_.empty()) {
-      const int u = runq_mem_.front();
-      runq_mem_.pop_front();
+      const int u = runq_mem_.pop();
       return {u, (*unit_dur_)[u]};
     }
     return {};
   }
 
  private:
+  Task& task(std::size_t l, int t) { return task_[dag_->ext_off(l) + t]; }
+
+  /// Bits 0..f-1: every subcluster of a fanout-f cache.
+  static std::uint64_t all_subclusters(std::size_t f) {
+    return f >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << f) - 1;
+  }
+
+  /// Level-l cache `c` (flat index) can still lease a subcluster.
+  bool has_free_subcluster(std::size_t l, std::size_t c) const {
+    return leased_[c] != all_subclusters(fanout_[l - 1]);
+  }
+
   /// Releases capacity/leases of every anchored task rooted at node n (it
   /// can be maximal at several consecutive levels).
   void release_if_task_done(NodeId n) {
-    for (std::size_t l = 1; l <= core_->num_levels(); ++l) {
-      const int ti = core_->decomposition(l).owner[n];
-      if (ti < 0) continue;  // glue at this level, maybe a task above
-      Task& t = task_[l - 1][ti];
-      if (t.root != n || !t.anchored || t.oversized) continue;
-      used_[l - 1][t.anchor_cache] -= t.size;
+    for (std::size_t l = 1; l <= levels_; ++l) {
+      const Decomposition& d = dag_->decomposition(l);
+      const int ti = d.owner[n];
+      if (ti < 0 || d.maximal[ti] != n) continue;  // not a task root here
+      Task& t = task(l, ti);
+      if (!t.anchored || t.anchor_cache < 0) continue;  // larger than σM
+      const std::size_t c = cache_off_[l - 1] + std::size_t(t.anchor_cache);
+      used_[c] -= dag_->task_size(l, ti);
       core_->unpin_footprint(l, std::size_t(t.anchor_cache), ti);
-      if (l > 1)
-        for (std::size_t c : t.lease) leased_to_[l - 2][c] = -1;
+      leased_[c] &= ~t.lease;
+      if (l == levels_) top_dirty_ = true;
       retry_pending(l);
       if (l > 1) retry_pending(l - 1);  // freed leases unblock children
     }
@@ -143,70 +183,83 @@ class SbScheduler final : public Scheduler {
 
   void retry_pending(std::size_t l) {
     for (int ti : pending_[l - 1]) {
-      task_[l - 1][ti].in_pending = false;
+      task(l, ti).in_pending = false;
       to_try_.push_back({l, ti});
     }
     pending_[l - 1].clear();
   }
 
-  bool parent_anchored(std::size_t l, const Task& t) const {
-    if (l == core_->num_levels() || t.parent == kRoot) return true;
-    return task_[l][t.parent].anchored;
-  }
-
   /// gi(S): number of level-(l-1) subclusters for a size-S task at level l.
   std::size_t allocation(std::size_t l, double S) const {
-    const Pmh& m = core_->machine();
-    const double fi = double(m.fanout(l));
-    const double frac = std::pow(3.0 * S / m.cache_size(l), opts_.alpha_prime);
+    const double fi = double(m_->fanout(l));
+    const double frac = std::pow(3.0 * S / m_->cache_size(l), alpha_prime_);
     return static_cast<std::size_t>(
         std::min(fi, std::max(1.0, std::floor(fi * frac))));
   }
 
+  /// A level-l cache (flat index c) the task fits in: room for `size` and,
+  /// above level 1, a subcluster left to lease.
+  bool fits(std::size_t l, std::size_t c, double size) const {
+    return used_[c] + size <= cap_[l - 1] &&
+           (l == 1 || has_free_subcluster(l, c));
+  }
+
+  /// First top-level cache a size-`size` task fits in, or -1. The exact
+  /// fast reject: floating-point addition is monotone, so if the least
+  /// used eligible cache overflows, every eligible cache does.
+  int first_fit_top(double size) {
+    const std::size_t l = levels_, off = cache_off_[l - 1];
+    const std::size_t n = m_->num_caches(l);
+    if (top_dirty_) {
+      top_min_used_ = std::numeric_limits<double>::infinity();
+      for (std::size_t c = off; c < off + n; ++c)
+        if (l == 1 || has_free_subcluster(l, c))
+          top_min_used_ = std::min(top_min_used_, used_[c]);
+      top_dirty_ = false;
+    }
+    if (top_min_used_ + size > cap_[l - 1]) return -1;
+    for (std::size_t c = 0; c < n; ++c)
+      if (fits(l, off + c, size)) return int(c);
+    return -1;
+  }
+
+  /// First subcluster leased by the level-(l+1) parent that a size-`size`
+  /// level-l task fits in, or -1 — in subcluster order.
+  int first_fit_leased(std::size_t l, double size, const Task& parent) const {
+    const std::size_t base =
+        std::size_t(parent.anchor_cache) * fanout_[l];  // fanout(l + 1)
+    for (std::uint64_t bits = parent.lease; bits != 0; bits &= bits - 1) {
+      const std::size_t c = base + std::size_t(std::countr_zero(bits));
+      if (fits(l, cache_off_[l - 1] + c, size)) return int(c);
+    }
+    return -1;
+  }
+
   void enqueue_unit(int u) {
-    if (unit_dispatched_[u]) return;
-    unit_dispatched_[u] = true;
-    const NodeId n = task_[0][u].root;
-    for (std::size_t l = 1; l <= core_->num_levels(); ++l) {
-      const Task& t = task_[l - 1][core_->decomposition(l).owner[n]];
-      if (!t.oversized) {
-        NDF_CHECK(t.anchored && t.anchor_cache >= 0);
-        runq_[l - 1][t.anchor_cache].push_back(u);
+    for (std::size_t l = 1; l <= levels_; ++l) {
+      const Task& t = task(l, dag_->unit_task(l, u));
+      NDF_CHECK(t.anchored);
+      if (t.anchor_cache >= 0) {
+        runq_[cache_off_[l - 1] + std::size_t(t.anchor_cache)].push(u);
+        ++queued_;
         return;
       }
     }
-    runq_mem_.push_back(u);
+    runq_mem_.push(u);
   }
 
   void try_anchor(std::size_t l, int ti) {
-    const Pmh& m = core_->machine();
-    Task& t = task_[l - 1][ti];
-    if (t.anchored || core_->task_ext(l, ti) != 0 || !parent_anchored(l, t))
-      return;
-    if (!t.oversized) {
-      // Candidate anchors: parent's leased subclusters (all level-L caches
-      // for top-level tasks).
-      int chosen = -1;
-      auto consider = [&](std::size_t c) {
-        if (chosen >= 0) return;
-        if (used_[l - 1][c] + t.size > opts_.sigma * m.cache_size(l)) return;
-        if (l > 1) {
-          const std::size_t f = m.fanout(l);
-          bool any_free = false;
-          for (std::size_t k = c * f; k < (c + 1) * f; ++k)
-            if (leased_to_[l - 2][k] < 0) {
-              any_free = true;
-              break;
-            }
-          if (!any_free) return;
-        }
-        chosen = static_cast<int>(c);
-      };
-      if (l == core_->num_levels() || t.parent == kRoot) {
-        for (std::size_t c = 0; c < m.num_caches(l); ++c) consider(c);
-      } else {
-        for (std::size_t c : task_[l][t.parent].lease) consider(c);
-      }
+    Task& t = task(l, ti);
+    if (t.anchored || core_->task_ext(l, ti) != 0) return;
+    const int parent = dag_->task_parent(l, ti);
+    const Task* pt = parent < 0 ? nullptr : &task(l + 1, parent);
+    if (pt != nullptr && !pt->anchored) return;
+    const double size = dag_->task_size(l, ti);
+    if (size <= cap_[l - 1]) {
+      // Candidate anchors: the parent's leased subclusters (every level-L
+      // cache for a top-level task).
+      const int chosen = pt == nullptr ? first_fit_top(size)
+                                       : first_fit_leased(l, size, *pt);
       if (chosen < 0) {
         if (!t.in_pending) {
           t.in_pending = true;
@@ -216,30 +269,34 @@ class SbScheduler final : public Scheduler {
       }
       t.anchored = true;
       t.anchor_cache = chosen;
-      used_[l - 1][chosen] += t.size;
+      const std::size_t c = cache_off_[l - 1] + std::size_t(chosen);
+      used_[c] += size;
       // Measured occupancy mirrors the capacity reservation: an anchored
       // footprint cannot be evicted until release, so it loads at most
       // once — the mechanism behind measured Q_i <= Q*(sigma*Mi).
       core_->pin_footprint(l, std::size_t(chosen), ti);
       if (l > 1) {
-        const std::size_t want = allocation(l, t.size);
-        const std::size_t f = m.fanout(l);
-        for (std::size_t k = std::size_t(chosen) * f;
-             k < (std::size_t(chosen) + 1) * f && t.lease.size() < want; ++k)
-          if (leased_to_[l - 2][k] < 0) {
-            leased_to_[l - 2][k] = ti;
-            t.lease.push_back(k);
-          }
+        // Lease the first `want` free subclusters, in subcluster order.
+        std::uint64_t free = ~leased_[c] & all_subclusters(fanout_[l - 1]);
+        for (std::size_t want = allocation(l, size); want > 0 && free != 0;
+             --want) {
+          const std::uint64_t lowest = free & (~free + 1);
+          t.lease |= lowest;
+          free ^= lowest;
+        }
+        leased_[c] |= t.lease;
       }
+      if (l == levels_) top_dirty_ = true;
     } else {
-      t.anchored = true;
+      t.anchored = true;  // a big strand: no cache can hold it
     }
-    core_->stats().misses[l - 1] += t.size;
+    core_->stats().misses[l - 1] += size;
     ++core_->stats().anchors;
     if (l == 1) {
       enqueue_unit(ti);
     } else {
-      for (int c : kids_[l - 1][ti]) to_try_.push_back({l - 1, c});
+      const auto [first, last] = dag_->task_children(l, ti);
+      for (int c = first; c < last; ++c) to_try_.push_back({l - 1, c});
     }
   }
 
@@ -251,23 +308,36 @@ class SbScheduler final : public Scheduler {
     }
   }
 
-  const SchedOptions opts_;
+  const double sigma_, alpha_prime_;
   SimCore* core_ = nullptr;
+  const CondensedDag* dag_ = nullptr;
+  const Pmh* m_ = nullptr;
+  std::size_t levels_ = 0;
 
-  std::vector<std::vector<Task>> task_;             // task_[l-1]
-  std::vector<std::vector<std::vector<int>>> kids_; // kids_[l-1][t] at l-1
+  std::vector<double> cap_;            // [l-1] = σM_l
+  std::vector<std::size_t> fanout_;    // [l-1] = fanout(l)
+  std::vector<std::size_t> cache_off_; // [l-1] = level l's first flat cache
+  std::vector<Task> task_;             // flat (level, task) arena
   // The core's cached distributed-charge table (valid for this run's
   // (dag, machine, charge) binding — no per-run copy).
   const std::vector<double>* unit_dur_ = nullptr;
-  std::vector<bool> unit_dispatched_;
 
-  // Cache occupancy and child leases, per level.
-  std::vector<std::vector<double>> used_;    // used_[l-1][cache]
-  std::vector<std::vector<int>> leased_to_;  // leased_to_[l-1][cache]
+  // Per cache (flat index): reserved capacity, and which of its
+  // subclusters are leased (bit k = subcluster k, levels >= 2).
+  std::vector<double> used_;
+  std::vector<std::uint64_t> leased_;
+  // Least used_ over the top-level caches that still have a subcluster to
+  // lease; recomputed when a top-level anchor or release marks it dirty.
+  double top_min_used_ = 0.0;
+  bool top_dirty_ = true;
 
-  // Run queues: runq_[l-1][cache] plus the memory-level queue.
-  std::vector<std::vector<std::deque<int>>> runq_;
-  std::deque<int> runq_mem_;
+  // Run queues per cache (flat index) plus the memory-level queue;
+  // proc_q_[proc·L + l-1] is the queue above `proc` at level l, and
+  // queued_ counts the units in all per-cache queues.
+  std::vector<UnitQueue> runq_;
+  UnitQueue runq_mem_;
+  std::vector<std::size_t> proc_q_;
+  std::size_t queued_ = 0;
 
   // Anchoring work-list and capacity-blocked tasks.
   std::vector<std::pair<std::size_t, int>> to_try_;  // (level, task)

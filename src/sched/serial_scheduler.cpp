@@ -41,6 +41,15 @@ class SerialScheduler final : public Scheduler {
     if (level == 1) ready_.push(task);
   }
 
+  /// Only processor 0 ever runs a unit, and a null pick changes nothing:
+  /// the core picks for processor 0 alone and skips every other pick.
+  std::size_t next_pick(std::span<const std::size_t> idle,
+                        std::size_t from) override {
+    for (std::size_t k = from; k < idle.size(); ++k)
+      if (idle[k] == 0) return k;
+    return idle.size();
+  }
+
   /// A null pick changes nothing, so skipped picks need no replay.
   bool skip_picks(std::size_t) override { return true; }
 

@@ -250,7 +250,17 @@ void SimCore::dispatch(double now) {
   now_ = now;
   still_idle_.clear();
   std::size_t k = 0;
-  while (k < idle_.size() && ready_units_ > 0) assign(idle_[k++], now);
+  while (k < idle_.size() && ready_units_ > 0) {
+    // The policy names the next processor whose pick can succeed; the
+    // ones it passes over stay idle, in order.
+    const std::size_t next = policy_->next_pick(idle_, k);
+    NDF_CHECK(next >= k && next <= idle_.size());
+    counters_.skipped_picks += next - k;
+    still_idle_.insert(still_idle_.end(), idle_.begin() + std::ptrdiff_t(k),
+                       idle_.begin() + std::ptrdiff_t(next));
+    k = next;
+    if (k < idle_.size()) assign(idle_[k++], now);
+  }
   if (k < idle_.size()) {
     // Nothing is ready: every remaining pick would be null. One call lets
     // the policy account for all of them at once.

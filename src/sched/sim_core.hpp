@@ -135,7 +135,9 @@ struct SchedStats {
 struct EngineCounters {
   std::uint64_t picks = 0;          ///< Scheduler::pick calls
   std::uint64_t null_picks = 0;     ///< picks that left the processor idle
-  std::uint64_t skipped_picks = 0;  ///< idle picks a skip_picks call answered
+  /// Idle processors left idle without a pick call: passed over by
+  /// next_pick while units were ready, or answered by skip_picks.
+  std::uint64_t skipped_picks = 0;
   std::uint64_t fire_ops = 0;       ///< fire-program ops executed
   std::uint64_t cascade_fires = 0;  ///< control vertices fired
   std::uint64_t heap_pushes = 0;    ///< completion events queued
@@ -184,6 +186,31 @@ class Scheduler {
   /// the core has seen (on_start's initially ready units, or an
   /// on_task_ready(1, u)) may be returned, each at most once.
   virtual Assignment pick(std::size_t proc, double now) = 0;
+
+  // --- the dispatch contract ----------------------------------------------
+  //
+  // After the start and after every unit completion the core offers the
+  // idle processors, in idle-list order, to the policy. While some ready
+  // unit is undispatched it asks next_pick which idle processor to pick
+  // for next; once none is left it asks skip_picks about all the rest.
+  // Every processor either hook passes over stays idle without a pick
+  // call and counts as a skipped pick (EngineCounters::skipped_picks).
+
+  /// Some ready unit is still undispatched. Of the idle processors
+  /// idle[from..], return the index of the first whose pick can return a
+  /// unit, or idle.size() if none can; the core picks for that one and
+  /// leaves the ones before it idle. A policy may only pass over a
+  /// processor whose pick would return no unit *and* change nothing
+  /// (sb: no run queue above it holds a unit; serial: any processor but
+  /// 0). The default returns `from`, so the core picks for every idle
+  /// processor — ws (whose null picks draw victims), greedy and edf (whose
+  /// picks never fail while a unit is ready) and any wrapping policy keep
+  /// every pick.
+  virtual std::size_t next_pick(std::span<const std::size_t> idle,
+                                std::size_t from) {
+    (void)idle;
+    return from;
+  }
 
   /// The core has no ready, undispatched unit left, so each of the `n`
   /// processors still idle in this dispatch round would get a null pick.
@@ -337,8 +364,9 @@ class SimCore {
   /// Runs completed unit `u`'s fire program, reports its root's exit, then
   /// fires the control cascade it released.
   void complete_unit(int u);
-  /// Offers every idle processor to the policy; once no ready unit is left
-  /// undispatched, the rest are one skip_picks call.
+  /// Offers the idle processors to the policy: next_pick names each one
+  /// to pick for while a ready unit is undispatched; once none is left,
+  /// the rest are one skip_picks call.
   void dispatch(double now);
   /// One pick for idle processor `p`: starts the unit it returns, or keeps
   /// `p` idle.

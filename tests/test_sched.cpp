@@ -366,9 +366,62 @@ TEST(FirePrograms, MatchTheDependenceTemplates) {
   }
 }
 
+TEST(CondensedDagNesting, ParentsAndChildrenMatchTheDecompositions) {
+  // The flat nesting accessors agree with the node-level decompositions:
+  // a task's parent is the next level's owner of its root, its children
+  // are exactly the tasks one level down whose parent it is, and its
+  // units are the ones unit_task maps to it.
+  for (const char* spec :
+       {"mm:n=32", "lcs:n=128", "trs:n=32,np",
+        "gen:family=sp,depth=7,fan=3,cross=60,seed=5",
+        "gen:family=wavefront,n=12", "gen:family=diamond,depth=8,fan=6"}) {
+    const exp::Workload w(exp::parse_workload(spec));
+    for (const char* machine : {"flat16", "deep2x4", "deep4x4"}) {
+      SCOPED_TRACE(std::string(spec) + " on " + machine);
+      const CondensedDag dag(w.graph(), level_cache_sizes(make_pmh(machine)),
+                             1.0 / 3.0);
+      const std::size_t L = dag.num_levels();
+      for (std::size_t l = 1; l <= L; ++l) {
+        const Decomposition& d = dag.decomposition(l);
+        std::vector<std::size_t> units(d.maximal.size(), 0);
+        for (std::size_t u = 0; u < dag.num_units(); ++u)
+          ++units[std::size_t(dag.unit_task(l, int(u)))];
+        int next_child = 0;
+        for (std::size_t t = 0; t < d.maximal.size(); ++t) {
+          const int ti = int(t);
+          EXPECT_EQ(dag.task_units(l, ti), units[t]);
+          const std::size_t first = dag.task_first_unit(l, ti);
+          EXPECT_EQ(dag.unit_task(l, int(first)), ti);
+          if (first > 0) {
+            EXPECT_EQ(dag.unit_task(l, int(first) - 1), ti - 1);
+          }
+          if (l < L) {
+            EXPECT_EQ(dag.task_parent(l, ti),
+                      dag.decomposition(l + 1).owner[d.maximal[t]]);
+          } else {
+            EXPECT_EQ(dag.task_parent(l, ti), -1);
+          }
+          if (l == 1) continue;
+          const auto [lo, hi] = dag.task_children(l, ti);
+          EXPECT_EQ(lo, next_child);
+          EXPECT_LT(lo, hi);
+          for (int c = lo; c < hi; ++c) {
+            EXPECT_EQ(dag.task_parent(l - 1, c), ti);
+          }
+          next_child = hi;
+        }
+        if (l > 1) {
+          EXPECT_EQ(std::size_t(next_child),
+                    dag.decomposition(l - 1).maximal.size());
+        }
+      }
+    }
+  }
+}
+
 /// Forwards every hook to a registry policy but keeps the default
-/// skip_picks, so the core makes every idle pick the way it did before
-/// picks could be skipped.
+/// next_pick and skip_picks, so the core makes every idle pick the way it
+/// did before picks could be skipped.
 class EveryPick final : public Scheduler {
  public:
   explicit EveryPick(std::unique_ptr<Scheduler> inner)
@@ -392,9 +445,11 @@ class EveryPick final : public Scheduler {
 };
 
 TEST(SkipPicks, SkippingPolicyMatchesOneThatPicksEveryTime) {
-  // The skip contract: a policy that answers skip_picks must end up with
-  // the schedule it would have produced from the null picks themselves —
-  // for ws that means the replayed victim draws keep the RNG stream.
+  // The skip contract: a policy that passes over processors in next_pick
+  // or answers skip_picks must end up with the schedule it would have
+  // produced from the null picks themselves — for ws that means the
+  // replayed victim draws keep the RNG stream; for sb and serial it means
+  // next_pick passes over exactly the processors whose pick is null.
   for (const char* spec :
        {"gen:family=chain,n=256", "gen:family=forkjoin,depth=8,fan=24",
         "gen:family=wavefront,n=24", "gen:family=sp,depth=7,fan=3,seed=5",
@@ -429,12 +484,14 @@ TEST(SkipPicks, SkippingPolicyMatchesOneThatPicksEveryTime) {
                     trace_fingerprint(full_trace));
 
           // Same work, but only the full run picks for processors that
-          // cannot get anything.
+          // cannot get anything: every pick of the skipping run places a
+          // unit.
           const EngineCounters& ca = skipping.counters();
           const EngineCounters& cb = full.counters();
           EXPECT_EQ(cb.skipped_picks, 0u);
           EXPECT_EQ(ca.picks + ca.skipped_picks, cb.picks);
-          EXPECT_EQ(ca.picks - ca.null_picks, skipping.num_units());
+          EXPECT_EQ(ca.null_picks, 0u);
+          EXPECT_EQ(ca.picks, skipping.num_units());
           EXPECT_EQ(cb.picks - cb.null_picks, full.num_units());
           EXPECT_EQ(ca.heap_pushes, skipping.num_units());
           EXPECT_EQ(ca.fire_ops, cb.fire_ops);
