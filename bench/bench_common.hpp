@@ -71,6 +71,20 @@ inline void reject_unknown_flags(const Args& args,
   }
 }
 
+/// A driver's main: runs `body` and turns a rejected input — a CheckError
+/// from a bad flag, an unknown policy or an unreadable file — into its
+/// message on stderr and exit status 2 instead of an uncaught-exception
+/// abort. Usage: `int main(int argc, char** argv) { return
+/// bench::run_main(argc, argv, sweep_main); }`.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+}
+
 /// Comma-separated doubles for an axis flag (`--sigma=0.2,0.33`).
 inline std::vector<double> parse_double_list(const std::string& csv,
                                              const std::string& flag) {

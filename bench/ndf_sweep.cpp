@@ -103,9 +103,7 @@ void list_everything() {
     std::cout << "  " << c.name << " — " << c.description << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int sweep_main(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(
       args,
@@ -258,4 +256,10 @@ int main(int argc, char** argv) {
                    w, ws[w].busy_s, ws[w].tasks);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, sweep_main);
 }
