@@ -45,10 +45,11 @@
 //                                --repeat=2)
 //   --phase-times                print per-phase wall-clock (workload build
 //                                / condensation / cell execution / emit),
-//                                the engine counters summed over all cells
-//                                and per-worker busy/task accounting to
-//                                stderr, so a perf regression is
-//                                attributable without a profiler
+//                                the engine counters summed over all cells,
+//                                each policy's cell seconds and engine
+//                                counters, and per-worker busy/task
+//                                accounting to stderr, so a perf regression
+//                                is attributable without a profiler
 //   --trace-out=<path>           record grid cell 0's full event stream
 //                                (unit slices, queue waits, cache events)
 //                                and write it as Chrome trace-event JSON —
@@ -235,19 +236,28 @@ int sweep_main(int argc, char** argv) {
                  "cell-execution %.3fs, emit %.3fs\n",
                  pt.workload_build, pt.condensation, pt.cell_execution,
                  emit_s);
-    // What the event loop did, summed over every cell: integer counts, so
-    // the line is identical at every --jobs value.
-    const EngineCounters& ec = sweep.engine_counters();
-    std::fprintf(stderr,
-                 "phase-times: engine picks %llu, skipped-picks %llu, "
-                 "null-picks %llu, fire-ops %llu, cascade-fires %llu, "
-                 "heap-pushes %llu\n",
-                 (unsigned long long)ec.picks,
-                 (unsigned long long)ec.skipped_picks,
-                 (unsigned long long)ec.null_picks,
-                 (unsigned long long)ec.fire_ops,
-                 (unsigned long long)ec.cascade_fires,
-                 (unsigned long long)ec.heap_pushes);
+    // What the event loop did, summed over every cell and then per
+    // policy: integer counts, so they are identical at every --jobs value
+    // (a policy line's busy seconds are wall-clock and are not).
+    auto counters = [](const EngineCounters& ec) {
+      std::fprintf(stderr,
+                   "picks %llu, skipped-picks %llu, null-picks %llu, "
+                   "fire-ops %llu, cascade-fires %llu, heap-pushes %llu\n",
+                   (unsigned long long)ec.picks,
+                   (unsigned long long)ec.skipped_picks,
+                   (unsigned long long)ec.null_picks,
+                   (unsigned long long)ec.fire_ops,
+                   (unsigned long long)ec.cascade_fires,
+                   (unsigned long long)ec.heap_pushes);
+    };
+    std::fprintf(stderr, "phase-times: engine ");
+    counters(sweep.engine_counters());
+    const auto& costs = sweep.policy_costs();
+    for (std::size_t p = 0; p < costs.size(); ++p) {
+      std::fprintf(stderr, "phase-times: policy %s busy %.3fs, ",
+                   sweep.scenario().policies[p].c_str(), costs[p].busy_s);
+      counters(costs[p].engine);
+    }
     // Pool self-profiling (empty on the serial path): busy seconds and
     // task count per worker expose imbalance the phase totals hide.
     const auto& ws = sweep.worker_stats();

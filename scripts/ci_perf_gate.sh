@@ -16,8 +16,9 @@
 #      tracked across commits).
 #   3. FAILS if the stress grid's `phase-times: engine` counters (picks,
 #      skipped/null picks, fire-program ops, cascade fires, heap pushes,
-#      summed over all cells) differ between --jobs=1 and --jobs=N, and
-#      stores them in the JSON next to the timings.
+#      summed over all cells) or its per-policy `phase-times: policy`
+#      counters differ between --jobs=1 and --jobs=N, and stores the totals
+#      in the JSON next to the timings.
 #
 # Measurement validity: both timed grids take >= 1 s serially (the old gate
 # grid finished in ~20 ms, where thread startup dominates and a speedup
@@ -216,6 +217,21 @@ if [[ -z "$ENGINE_SERIAL" || "$ENGINE_SERIAL" != "$ENGINE_PARALLEL" ]]; then
   echo "FAIL: stress grid engine counters differ (or are missing):" >&2
   echo "  --jobs=1:     $ENGINE_SERIAL" >&2
   echo "  --jobs=$JOBS: $ENGINE_PARALLEL" >&2
+  exit 1
+fi
+# The same per policy, with each line's wall-clock busy seconds cut out.
+policy_counters() { # <stderr file>
+  grep '^phase-times: policy ' "$1" | sed 's/ busy [^,]*,//' || true
+}
+POLICY_SERIAL=$(policy_counters "$OUT/stress-serial.err")
+POLICY_PARALLEL=$(policy_counters "$OUT/stress-parallel.err")
+if [[ -z "$POLICY_SERIAL" || "$POLICY_SERIAL" != "$POLICY_PARALLEL" ]]; then
+  echo "FAIL: stress grid per-policy engine counters differ (or are" \
+       "missing):" >&2
+  echo "--jobs=1:" >&2
+  echo "$POLICY_SERIAL" >&2
+  echo "--jobs=$JOBS:" >&2
+  echo "$POLICY_PARALLEL" >&2
   exit 1
 fi
 echo "OK: stress grid engine counters equal at --jobs=1 and --jobs=$JOBS"

@@ -45,17 +45,18 @@ RunPoint make_run_point(const Scenario& s, const GridPoint& g, const Pmh& m,
 /// writers contend on).
 struct alignas(64) ResultSlot {
   RunPoint pt;
-  EngineCounters engine;
+  PolicyCost cost;
 };
 
 /// Executes grid cell i through `core`, constructing it on first use and
 /// reset()-rebinding it afterwards — the shared per-cell body of the serial
 /// loop and every parallel chunk. `sink` (non-null for grid cell 0 only —
-/// the scenario's trace_sink) records the cell's event stream; the run's
-/// engine counters are added to `engine`.
+/// the scenario's trace_sink) records the cell's event stream; the cell's
+/// seconds and engine counters are added to `cost`.
 RunPoint run_cell(const Scenario& s, const GridPoint& g, const Pmh& m,
                   const CondensedDag& dag, std::unique_ptr<SimCore>& core,
-                  obs::TraceSink* sink, EngineCounters& engine) {
+                  obs::TraceSink* sink, PolicyCost& cost) {
+  const double t0 = now_s();
   SchedOptions opts = point_options(s, g);
   opts.sink = sink;
   const auto policy = make_scheduler(s.policies[g.policy], opts);
@@ -65,7 +66,8 @@ RunPoint run_cell(const Scenario& s, const GridPoint& g, const Pmh& m,
     core = std::make_unique<SimCore>(dag, m, opts);
   RunPoint pt = make_run_point(s, g, m, opts);
   pt.stats = core->run(*policy);
-  engine += core->counters();
+  cost.engine += core->counters();
+  cost.busy_s += now_s() - t0;
   return pt;
 }
 
@@ -79,6 +81,7 @@ const std::vector<RunPoint>& Sweep::run() {
   condensations_ = 0;
   phase_times_ = {};
   engine_counters_ = {};
+  policy_costs_.clear();
   worker_stats_.clear();
   validate(scenario_);
 
@@ -91,11 +94,13 @@ const std::vector<RunPoint>& Sweep::run() {
   const std::size_t jobs =
       std::min(jobs_ == 0 ? ThreadPool::default_jobs() : jobs_,
                std::max<std::size_t>(grid.size(), 1));
+  policy_costs_.assign(scenario_.policies.size(), PolicyCost{});
   try {
     if (jobs <= 1)
       run_serial(machines, grid);
     else
       run_parallel(jobs, machines, grid);
+    for (const PolicyCost& c : policy_costs_) engine_counters_ += c.engine;
   } catch (...) {
     // A failed run must leave the object exactly as if run() was never
     // called: no partial results, no partial (or full-plan) condensation
@@ -104,6 +109,7 @@ const std::vector<RunPoint>& Sweep::run() {
     condensations_ = 0;
     phase_times_ = {};
     engine_counters_ = {};
+    policy_costs_.clear();
     worker_stats_.clear();
     throw;
   }
@@ -176,7 +182,7 @@ void Sweep::run_serial(const std::vector<Pmh>& machines,
     results_.push_back(
         run_cell(scenario_, g, m, *dag, core,
                  cell_index == 0 ? scenario_.trace_sink : nullptr,
-                 engine_counters_));
+                 policy_costs_[g.policy]));
     phase_times_.cell_execution += now_s() - t0;
     ++cell_index;
     progress.tick();
@@ -270,7 +276,7 @@ void Sweep::run_parallel(std::size_t jobs, const std::vector<Pmh>& machines,
               run_cell(scenario_, g, machines[g.machine],
                        *dags[plan.cell[i]], core,
                        i == 0 ? scenario_.trace_sink : nullptr,
-                       results[i].engine);
+                       results[i].cost);
           progress.tick();
         }
       });
@@ -278,9 +284,11 @@ void Sweep::run_parallel(std::size_t jobs, const std::vector<Pmh>& machines,
   phase_times_.cell_execution = now_s() - t0;
 
   results_.reserve(results.size());
-  for (ResultSlot& s : results) {
-    results_.push_back(std::move(s.pt));
-    engine_counters_ += s.engine;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    PolicyCost& total = policy_costs_[grid[i].policy];
+    total.busy_s += results[i].cost.busy_s;
+    total.engine += results[i].cost.engine;
+    results_.push_back(std::move(results[i].pt));
   }
   // Reported only now: a throw in any phase above leaves the count at the
   // zero run() started from, never at plan size with no results behind it.

@@ -49,6 +49,15 @@ struct PhaseTimes {
   double cell_execution = 0.0;  ///< simulating grid cells
 };
 
+/// What the cells of one policy cost, summed over the grid: the seconds a
+/// worker spent inside them (policy construction, core reset and the run)
+/// and the engine counters of their runs. The counters are equal at every
+/// `jobs` value; the seconds are wall-clock.
+struct PolicyCost {
+  double busy_s = 0.0;
+  EngineCounters engine;
+};
+
 class Sweep {
  public:
   /// `jobs` is the worker count for grid execution: 0 (the default) means
@@ -74,6 +83,11 @@ class Sweep {
   /// Engine counters summed over every cell of the completed run (zeros
   /// before/without one) — equal at every `jobs` value.
   const EngineCounters& engine_counters() const { return engine_counters_; }
+  /// Per-policy cell cost of the completed run, indexed like
+  /// scenario().policies (empty before/without one).
+  const std::vector<PolicyCost>& policy_costs() const {
+    return policy_costs_;
+  }
   /// Per-worker busy/idle accounting of the completed run's thread pool
   /// (empty before a run, and on the serial path — there are no workers).
   const std::vector<ThreadPool::WorkerStats>& worker_stats() const {
@@ -94,6 +108,7 @@ class Sweep {
   std::size_t condensations_ = 0;
   PhaseTimes phase_times_;
   EngineCounters engine_counters_;
+  std::vector<PolicyCost> policy_costs_;
   std::vector<ThreadPool::WorkerStats> worker_stats_;
   bool ran_ = false;
 };
