@@ -67,7 +67,7 @@ class SbScheduler final : public Scheduler {
 
     cap_.resize(levels_);
     fanout_.resize(levels_);
-    cache_off_.resize(levels_);
+    cache_off_.resize(levels_ + 1);
     std::size_t caches = 0;
     for (std::size_t l = 1; l <= levels_; ++l) {
       cap_[l - 1] = sigma_ * m_->cache_size(l);
@@ -78,6 +78,7 @@ class SbScheduler final : public Scheduler {
       cache_off_[l - 1] = caches;
       caches += m_->num_caches(l);
     }
+    cache_off_[levels_] = caches;
     used_.assign(caches, 0.0);
     leased_.assign(caches, 0);
     runq_.assign(caches, UnitQueue{});
@@ -175,7 +176,10 @@ class SbScheduler final : public Scheduler {
       used_[c] -= dag_->task_size(l, ti);
       core_->unpin_footprint(l, std::size_t(t.anchor_cache), ti);
       leased_[c] &= ~t.lease;
-      if (l == levels_) top_dirty_ = true;
+      // The released cache is eligible again (its lease came back), so
+      // it can only lower the top-level minimum.
+      if (l == levels_ && !top_dirty_ && (l == 1 || has_free_subcluster(l, c)))
+        top_min_used_ = std::min(top_min_used_, used_[c]);
       retry_pending(l);
       if (l > 1) retry_pending(l - 1);  // freed leases unblock children
     }
@@ -209,17 +213,16 @@ class SbScheduler final : public Scheduler {
   /// used eligible cache overflows, every eligible cache does.
   int first_fit_top(double size) {
     const std::size_t l = levels_, off = cache_off_[l - 1];
-    const std::size_t n = m_->num_caches(l);
     if (top_dirty_) {
       top_min_used_ = std::numeric_limits<double>::infinity();
-      for (std::size_t c = off; c < off + n; ++c)
+      for (std::size_t c = off; c < cache_off_[l]; ++c)
         if (l == 1 || has_free_subcluster(l, c))
           top_min_used_ = std::min(top_min_used_, used_[c]);
       top_dirty_ = false;
     }
     if (top_min_used_ + size > cap_[l - 1]) return -1;
-    for (std::size_t c = 0; c < n; ++c)
-      if (fits(l, off + c, size)) return int(c);
+    for (std::size_t c = off; c < cache_off_[l]; ++c)
+      if (fits(l, c, size)) return int(c - off);
     return -1;
   }
 
@@ -270,6 +273,9 @@ class SbScheduler final : public Scheduler {
       t.anchored = true;
       t.anchor_cache = chosen;
       const std::size_t c = cache_off_[l - 1] + std::size_t(chosen);
+      // Only the least used cache can raise the top-level minimum (by
+      // filling up or by leasing its last subcluster).
+      if (l == levels_ && used_[c] == top_min_used_) top_dirty_ = true;
       used_[c] += size;
       // Measured occupancy mirrors the capacity reservation: an anchored
       // footprint cannot be evicted until release, so it loads at most
@@ -286,7 +292,6 @@ class SbScheduler final : public Scheduler {
         }
         leased_[c] |= t.lease;
       }
-      if (l == levels_) top_dirty_ = true;
     } else {
       t.anchored = true;  // a big strand: no cache can hold it
     }
@@ -316,7 +321,8 @@ class SbScheduler final : public Scheduler {
 
   std::vector<double> cap_;            // [l-1] = σM_l
   std::vector<std::size_t> fanout_;    // [l-1] = fanout(l)
-  std::vector<std::size_t> cache_off_; // [l-1] = level l's first flat cache
+  std::vector<std::size_t> cache_off_; // [l-1] = level l's first flat
+                                       // cache; [L] = the cache count
   std::vector<Task> task_;             // flat (level, task) arena
   // The core's cached distributed-charge table (valid for this run's
   // (dag, machine, charge) binding — no per-run copy).
@@ -327,7 +333,8 @@ class SbScheduler final : public Scheduler {
   std::vector<double> used_;
   std::vector<std::uint64_t> leased_;
   // Least used_ over the top-level caches that still have a subcluster to
-  // lease; recomputed when a top-level anchor or release marks it dirty.
+  // lease: lowered in place by a release, recomputed after an anchor on
+  // the least used cache marks it dirty.
   double top_min_used_ = 0.0;
   bool top_dirty_ = true;
 
