@@ -16,13 +16,16 @@ namespace {
 
 /// Per-run anchoring state of one maximal task, in a flat arena laid out
 /// like the core's dependence counters (CondensedDag::ext_off(level) +
-/// task). Size, parent and children are static and read from the
-/// condensation; readiness (the external-dependence count) lives in the
-/// core.
+/// task). Size and parent are copied from the condensation at init, so a
+/// retried task costs one random access (two with its parent); children
+/// are read from the condensation's nesting tables, and readiness (the
+/// external-dependence count) lives in the core.
 struct Task {
+  double size = 0.0;
   /// Leased level-(l-1) subclusters of the anchor: bit k is subcluster
   /// anchor_cache·f + k, f = fanout(l).
   std::uint64_t lease = 0;
+  int parent = -1;        ///< task index one level up (-1: top level)
   int anchor_cache = -1;  ///< cache index at this level; -1 while
                           ///< unanchored and for a task larger than σM
   bool anchored = false;
@@ -88,10 +91,17 @@ class SbScheduler final : public Scheduler {
       for (std::size_t l = 1; l <= levels_; ++l)
         proc_q_[proc * levels_ + l - 1] =
             cache_off_[l - 1] + m_->cache_above(proc, l);
-    queued_ = 0;
+    reach_.assign(p, 0);
     top_dirty_ = true;
 
-    task_.assign(dag_->ext_arena_size(), Task{});
+    task_.resize(dag_->ext_arena_size());
+    for (std::size_t l = 1; l <= levels_; ++l) {
+      const std::size_t n = dag_->decomposition(l).maximal.size();
+      for (std::size_t i = 0; i < n; ++i)
+        task_[dag_->ext_off(l) + i] =
+            Task{.size = dag_->task_size(l, int(i)),
+                 .parent = dag_->task_parent(l, int(i))};
+    }
     pending_.assign(levels_, {});
     unit_dur_ = &core.distributed_unit_durations();
   }
@@ -123,11 +133,9 @@ class SbScheduler final : public Scheduler {
   std::size_t next_pick(std::span<const std::size_t> idle,
                         std::size_t from) override {
     if (!runq_mem_.empty()) return from;
-    if (queued_ == 0) return idle.size();
-    for (std::size_t k = from; k < idle.size(); ++k)
-      for (std::size_t l = 0; l < levels_; ++l)
-        if (!runq_[proc_q_[idle[k] * levels_ + l]].empty()) return k;
-    return idle.size();
+    std::size_t k = from;
+    while (k < idle.size() && reach_[idle[k]] == 0) ++k;
+    return k;
   }
 
   /// A null pick only scans empty run queues, so skipped picks need no
@@ -135,11 +143,12 @@ class SbScheduler final : public Scheduler {
   bool skip_picks(std::size_t) override { return true; }
 
   Assignment pick(std::size_t proc, double) override {
-    for (std::size_t l = 0; l < levels_; ++l) {
-      UnitQueue& q = runq_[proc_q_[proc * levels_ + l]];
+    for (std::size_t l = 1; l <= levels_; ++l) {
+      const std::size_t c = proc_q_[proc * levels_ + l - 1];
+      UnitQueue& q = runq_[c];
       if (!q.empty()) {
-        --queued_;
         const int u = q.pop();
+        if (q.empty()) reach_by(l, c, -1);
         return {u, (*unit_dur_)[u]};
       }
     }
@@ -152,6 +161,15 @@ class SbScheduler final : public Scheduler {
 
  private:
   Task& task(std::size_t l, int t) { return task_[dag_->ext_off(l) + t]; }
+
+  /// Adds `d` to reach_ of every processor below level-l cache `c` (flat
+  /// index): its run queue just turned non-empty (+1) or empty (-1).
+  void reach_by(std::size_t l, std::size_t c, int d) {
+    const std::size_t per = m_->procs_per_cache(l);
+    const std::size_t first = (c - cache_off_[l - 1]) * per;
+    for (std::size_t proc = first; proc < first + per; ++proc)
+      reach_[proc] += d;
+  }
 
   /// Bits 0..f-1: every subcluster of a fanout-f cache.
   static std::uint64_t all_subclusters(std::size_t f) {
@@ -173,7 +191,7 @@ class SbScheduler final : public Scheduler {
       Task& t = task(l, ti);
       if (!t.anchored || t.anchor_cache < 0) continue;  // larger than σM
       const std::size_t c = cache_off_[l - 1] + std::size_t(t.anchor_cache);
-      used_[c] -= dag_->task_size(l, ti);
+      used_[c] -= t.size;
       core_->unpin_footprint(l, std::size_t(t.anchor_cache), ti);
       leased_[c] &= ~t.lease;
       // The released cache is eligible again (its lease came back), so
@@ -243,21 +261,27 @@ class SbScheduler final : public Scheduler {
       const Task& t = task(l, dag_->unit_task(l, u));
       NDF_CHECK(t.anchored);
       if (t.anchor_cache >= 0) {
-        runq_[cache_off_[l - 1] + std::size_t(t.anchor_cache)].push(u);
-        ++queued_;
+        const std::size_t c = cache_off_[l - 1] + std::size_t(t.anchor_cache);
+        if (runq_[c].empty()) reach_by(l, c, +1);
+        runq_[c].push(u);
         return;
       }
     }
     runq_mem_.push(u);
   }
 
+  /// Anchors fully ready task `ti` of level l if it is not anchored yet,
+  /// its parent is, and a candidate cache has room. Every task is pushed
+  /// onto the worklist only once its external-dependence count is 0, and
+  /// the count cannot change before the task is popped, so it is not
+  /// re-read here.
   void try_anchor(std::size_t l, int ti) {
     Task& t = task(l, ti);
-    if (t.anchored || core_->task_ext(l, ti) != 0) return;
-    const int parent = dag_->task_parent(l, ti);
-    const Task* pt = parent < 0 ? nullptr : &task(l + 1, parent);
+    NDF_DCHECK(core_->task_ext(l, ti) == 0);
+    if (t.anchored) return;
+    const Task* pt = t.parent < 0 ? nullptr : &task(l + 1, t.parent);
     if (pt != nullptr && !pt->anchored) return;
-    const double size = dag_->task_size(l, ti);
+    const double size = t.size;
     if (size <= cap_[l - 1]) {
       // Candidate anchors: the parent's leased subclusters (every level-L
       // cache for a top-level task).
@@ -300,8 +324,11 @@ class SbScheduler final : public Scheduler {
     if (l == 1) {
       enqueue_unit(ti);
     } else {
+      // Only the children already fully ready: the others are pushed by
+      // on_task_ready when they become so.
       const auto [first, last] = dag_->task_children(l, ti);
-      for (int c = first; c < last; ++c) to_try_.push_back({l - 1, c});
+      for (int c = first; c < last; ++c)
+        if (core_->task_ext(l - 1, c) == 0) to_try_.push_back({l - 1, c});
     }
   }
 
@@ -340,11 +367,11 @@ class SbScheduler final : public Scheduler {
 
   // Run queues per cache (flat index) plus the memory-level queue;
   // proc_q_[proc·L + l-1] is the queue above `proc` at level l, and
-  // queued_ counts the units in all per-cache queues.
+  // reach_[proc] counts the non-empty queues above `proc`.
   std::vector<UnitQueue> runq_;
   UnitQueue runq_mem_;
   std::vector<std::size_t> proc_q_;
-  std::size_t queued_ = 0;
+  std::vector<int> reach_;
 
   // Anchoring work-list and capacity-blocked tasks.
   std::vector<std::pair<std::size_t, int>> to_try_;  // (level, task)
