@@ -176,9 +176,10 @@ class SbScheduler final : public Scheduler {
     return f >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << f) - 1;
   }
 
-  /// Level-l cache `c` (flat index) can still lease a subcluster.
-  bool has_free_subcluster(std::size_t l, std::size_t c) const {
-    return leased_[c] != all_subclusters(fanout_[l - 1]);
+  /// Level-l cache `c` (flat index) is a candidate anchor: above level 1
+  /// it needs a subcluster left to lease.
+  bool can_lease(std::size_t l, std::size_t c) const {
+    return l == 1 || leased_[c] != all_subclusters(fanout_[l - 1]);
   }
 
   /// Releases capacity/leases of every anchored task rooted at node n (it
@@ -196,7 +197,7 @@ class SbScheduler final : public Scheduler {
       leased_[c] &= ~t.lease;
       // The released cache is eligible again (its lease came back), so
       // it can only lower the top-level minimum.
-      if (l == levels_ && !top_dirty_ && (l == 1 || has_free_subcluster(l, c)))
+      if (l == levels_ && !top_dirty_ && can_lease(l, c))
         top_min_used_ = std::min(top_min_used_, used_[c]);
       retry_pending(l);
       if (l > 1) retry_pending(l - 1);  // freed leases unblock children
@@ -222,8 +223,7 @@ class SbScheduler final : public Scheduler {
   /// A level-l cache (flat index c) the task fits in: room for `size` and,
   /// above level 1, a subcluster left to lease.
   bool fits(std::size_t l, std::size_t c, double size) const {
-    return used_[c] + size <= cap_[l - 1] &&
-           (l == 1 || has_free_subcluster(l, c));
+    return used_[c] + size <= cap_[l - 1] && can_lease(l, c);
   }
 
   /// First top-level cache a size-`size` task fits in, or -1. The exact
@@ -234,7 +234,7 @@ class SbScheduler final : public Scheduler {
     if (top_dirty_) {
       top_min_used_ = std::numeric_limits<double>::infinity();
       for (std::size_t c = off; c < cache_off_[l]; ++c)
-        if (l == 1 || has_free_subcluster(l, c))
+        if (can_lease(l, c))
           top_min_used_ = std::min(top_min_used_, used_[c]);
       top_dirty_ = false;
     }
