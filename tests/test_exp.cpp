@@ -446,10 +446,25 @@ TEST(Sweep, EngineCountersEqualAtEveryJobsValue) {  // X7
   EXPECT_EQ(c.heap_pushes, units);
   EXPECT_EQ(c.picks - c.null_picks, units);
   EXPECT_GT(c.fire_ops, 0u);
+  // The per-policy split adds up to the total, one entry per policy.
+  const std::vector<exp::PolicyCost>& per_policy = serial.policy_costs();
+  ASSERT_EQ(per_policy.size(), s.policies.size());
+  EngineCounters sum;
+  for (const exp::PolicyCost& pc : per_policy) {
+    EXPECT_GT(pc.engine.picks, 0u);
+    EXPECT_GE(pc.busy_s, 0.0);
+    sum += pc.engine;
+  }
+  EXPECT_EQ(sum, c);
   for (const std::size_t jobs : {2u, 4u}) {
     exp::Sweep parallel(s, jobs);
     parallel.run();
     EXPECT_EQ(parallel.engine_counters(), c) << jobs << " jobs";
+    ASSERT_EQ(parallel.policy_costs().size(), per_policy.size());
+    for (std::size_t p = 0; p < per_policy.size(); ++p) {
+      EXPECT_EQ(parallel.policy_costs()[p].engine, per_policy[p].engine)
+          << jobs << " jobs, " << s.policies[p];
+    }
   }
 }
 
