@@ -41,8 +41,9 @@ inline std::string single_policy(const Args& args, const std::string& dflt) {
 }
 
 /// `--jobs=<n>` for benches that execute sweeps: 0 (the default) means one
-/// worker per hardware thread, 1 forces the serial path. Sweep output is
-/// byte-identical at every value, so this only changes wall-clock time.
+/// worker per hardware thread, 1 runs every task inline with no thread.
+/// Sweep output is byte-identical at every value, so this only changes
+/// wall-clock time and peak memory.
 inline std::size_t jobs_flag(const Args& args) {
   const long long jobs = args.get("jobs", 0LL);
   NDF_CHECK_MSG(jobs >= 0, "--jobs must be >= 0 (0 = hardware concurrency), "

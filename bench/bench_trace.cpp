@@ -19,10 +19,8 @@ using namespace ndf;
 namespace {
 
 /// Runs one elaboration and prints its utilization timeline. The unit
-/// trace now comes from the structured event stream (obs::EventRecorder →
-/// unit_trace()), which is element-identical to the legacy
-/// SchedOptions::trace capture, so the table is byte-identical to the
-/// pre-obs bench. `keep`, when non-null, receives the run's recorder (the
+/// trace comes from the structured event stream (obs::EventRecorder →
+/// unit_trace()). `keep`, when non-null, receives the run's recorder (the
 /// --trace-out export).
 void timeline(bench::Output& out, const std::string& policy,
               const std::string& name, const StrandGraph& g, const Pmh& m,

@@ -20,7 +20,7 @@
 //   --alpha=<x,x,...>            SB allocation exponents, default 1.0
 //   --repeat=<k> --seed=<s>      seed axis: seeds s..s+k-1 (ws variance)
 //   --jobs=<n>                   grid workers: 0 = hardware concurrency
-//                                (default), 1 = legacy serial path; output
+//                                (default), 1 = inline, no thread; output
 //                                is byte-identical at every n
 //   --misses                     simulate cache occupancy per run and
 //                                grow comm_cost + Q_L<i> measured-miss
@@ -258,8 +258,9 @@ int sweep_main(int argc, char** argv) {
                    sweep.scenario().policies[p].c_str(), costs[p].busy_s);
       counters(costs[p].engine);
     }
-    // Pool self-profiling (empty on the serial path): busy seconds and
-    // task count per worker expose imbalance the phase totals hide.
+    // Pool self-profiling (none at --jobs=1, which has no pool): busy
+    // seconds and task count per worker expose imbalance the phase totals
+    // hide.
     const auto& ws = sweep.worker_stats();
     for (std::size_t w = 0; w < ws.size(); ++w)
       std::fprintf(stderr, "phase-times: worker %zu busy %.3fs (%zu tasks)\n",

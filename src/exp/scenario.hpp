@@ -85,12 +85,21 @@ void validate(const Scenario& s);
 /// Scheduler options for one grid point.
 SchedOptions point_options(const Scenario& s, const GridPoint& g);
 
+/// The distinct cache-size profiles (level_cache_sizes) among `machines`,
+/// in first-use order, and each machine's index into them. A condensation
+/// depends on its machine only through this profile, so machines sharing
+/// one share every dag.
+struct CacheProfiles {
+  std::vector<std::vector<double>> sizes;
+  std::vector<std::size_t> of_machine;  ///< of_machine[m] indexes sizes
+};
+CacheProfiles cache_profiles(const std::vector<Pmh>& machines);
+
 /// The condensations a grid needs, computed up front: one key per distinct
-/// workload × σ × cache-size profile (in first-use grid order — the same
-/// set the serial runner's rolling cache builds lazily), plus each grid
-/// cell's index into them. The parallel sweep engine builds `keys` once,
-/// concurrently, then fans the cells out against the shared immutable dags;
-/// `keys.size()` is the build count both runners must agree on.
+/// workload × σ × cache-size profile, in first-use grid order, plus each
+/// grid cell's index into them. The fan-out (exp/fanout.hpp) builds every
+/// key once and runs the cells against the shared immutable dags;
+/// `keys.size()` is the build count.
 struct CondensationPlan {
   struct Key {
     std::size_t workload = 0;         ///< index into scenario.workloads

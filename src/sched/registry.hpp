@@ -50,7 +50,8 @@ std::vector<SchedulerInfo> registered_schedulers();
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
                                           const SchedOptions& opts);
 
-/// One-shot convenience: build the policy, simulate `g` over `machine`.
+/// One-shot convenience: build the policy and a condensation of `g` for
+/// `machine` at opts.sigma, and simulate one run.
 SchedStats run_scheduler(const std::string& name, const StrandGraph& g,
                          const Pmh& machine, const SchedOptions& opts = {});
 

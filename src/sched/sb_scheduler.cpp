@@ -390,11 +390,6 @@ void register_sb_scheduler() {
 }
 }  // namespace detail
 
-SchedStats run_sb_scheduler(const StrandGraph& g, const Pmh& machine,
-                            const SchedOptions& opts) {
-  return run_scheduler("sb", g, machine, opts);
-}
-
 double sb_balanced_bound(const SpawnTree& tree, const Pmh& machine,
                          double sigma) {
   double cost = tree.work_of(tree.root());

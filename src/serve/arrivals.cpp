@@ -57,8 +57,10 @@ ArrivalSpec parse_arrivals(const std::string& spec) {
   const auto colon = spec.find(':');
   a.kind = spec.substr(0, colon);
   NDF_CHECK_MSG(a.kind == "poisson" || a.kind == "closed",
-                "unknown arrival kind '" << a.kind << "' in '" << spec
-                                         << "' (valid: poisson, closed)");
+                "unknown arrival kind '"
+                    << a.kind << "' in '" << spec
+                    << "' (valid: poisson, closed; --trace=<path> reads a "
+                       "job file)");
 
   // Same parameter discipline as workload/gen specs: duplicates and
   // unknown keys are loud, and the full offending spec is always named.

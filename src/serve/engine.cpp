@@ -6,11 +6,10 @@
 #include <memory>
 #include <utility>
 
+#include "exp/fanout.hpp"
 #include "obs/progress.hpp"
 #include "pmh/presets.hpp"
-#include "sched/condensed_dag.hpp"
 #include "sched/registry.hpp"
-#include "sched/sim_core.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ndf::serve {
@@ -22,13 +21,12 @@ namespace {
 // used to live here.
 using obs::nearest_rank;
 
-/// The resolved, deterministic inputs every cell shares: built workloads,
-/// job streams with workload/tenant ids resolved, and the occupancy
-/// namespace geometry. Immutable during the fan-out.
+/// The resolved, deterministic inputs every cell shares: the distinct
+/// workloads, job streams with workload/tenant ids resolved, and the
+/// occupancy namespace geometry. Immutable during the fan-out.
 struct StreamPlan {
   /// Distinct workloads across the stream + mix, by first use.
   std::vector<exp::WorkloadSpec> specs;
-  std::vector<std::unique_ptr<exp::Workload>> built;
   std::vector<std::size_t> job_widx;  ///< open jobs: workload index
   std::vector<std::size_t> mix_widx;  ///< closed mix: workload index
   /// Open jobs: tenant id by first appearance in the (sorted) input
@@ -60,7 +58,6 @@ StreamPlan plan_stream(const ServeScenario& s) {
     plan.mix_widx.push_back(plan.intern(w, by_label));
   plan.num_tenants =
       s.closed ? s.closed->clients : std::max<std::size_t>(tenant_ids.size(), 1);
-  plan.built.resize(plan.specs.size());
   return plan;
 }
 
@@ -91,11 +88,13 @@ bool fifo_before(const Admission& a, const Admission& b) {
 class CellRunner {
  public:
   /// `sink` is the scenario's trace sink for grid cell 0, null elsewhere.
-  /// Every job's engine counters are added to `engine`.
+  /// Every job runs on `core` (the fan-out chunk's; null until its first
+  /// use), and its engine counters are added to `engine`.
   CellRunner(const ServeScenario& s, const StreamPlan& plan, const Pmh& m,
              double sigma, const std::string& policy,
              const std::vector<const CondensedDag*>& dags,
-             obs::TraceSink* sink, EngineCounters& engine)
+             obs::TraceSink* sink, EngineCounters& engine,
+             std::unique_ptr<SimCore>& core)
       : s_(s),
         plan_(plan),
         m_(m),
@@ -104,6 +103,7 @@ class CellRunner {
         dags_(dags),
         sink_(sink),
         engine_(engine),
+        core_(core),
         edf_(scheduler_deadline_aware(policy)) {}
 
   void run(ServeCell& cell) {
@@ -128,10 +128,12 @@ class CellRunner {
     opts.charge_misses = s_.charge_misses;
     opts.measure_misses = s_.measure_misses;
     opts.cache_model = s_.cache_model;
-    // The simulated caches persist across jobs; footprint keys are
-    // namespaced per (tenant, workload) so only a tenant's own repeat
-    // jobs can hit warm lines (engine.hpp, "Measured occupancy").
-    opts.keep_occupancy = s_.measure_misses;
+    // The simulated caches persist across the cell's jobs; footprint keys
+    // are namespaced per (tenant, workload) so only a tenant's own repeat
+    // jobs can hit warm lines (engine.hpp, "Measured occupancy"). The
+    // cell's first job starts cold: the chunk's core may hold the previous
+    // cell's occupancy.
+    opts.keep_occupancy = s_.measure_misses && !cell.jobs.empty();
     opts.occ_task_base =
         std::int64_t(a.tenant_id * plan_.specs.size() + a.widx) << 32;
     opts.seed = s_.base_seed + a.job.index;
@@ -331,19 +333,12 @@ class CellRunner {
   const std::vector<const CondensedDag*>& dags_;
   obs::TraceSink* sink_;
   EngineCounters& engine_;
-  bool edf_;
   // One simulator core serves the whole stream: reset()-rebound per job,
   // occupancy carried across jobs when measuring.
-  std::unique_ptr<SimCore> core_;
+  std::unique_ptr<SimCore>& core_;
+  bool edf_;
   std::vector<double> cum_misses_;  // occupancy counters are cumulative
   double cum_comm_ = 0.0;
-};
-
-/// One cell's result, padded to a cache line: adjacent slots are written
-/// by different workers (exp/sweep.cpp, ResultSlot).
-struct alignas(64) CellSlot {
-  ServeCell cell;
-  EngineCounters engine;
 };
 
 }  // namespace
@@ -417,22 +412,9 @@ const std::vector<ServeCell>& ServeSweep::run() {
     machines.push_back(make_pmh(spec));
 
   try {
-    StreamPlan plan = plan_stream(scenario_);
-
-    // Dedupe machine cache profiles (plan_condensations' trick): dags are
-    // keyed by (workload, σ, profile), so machines sharing a profile share
-    // every condensation.
-    std::vector<std::vector<double>> profiles;
-    std::vector<std::size_t> machine_profile(machines.size());
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      std::vector<double> sizes = level_cache_sizes(machines[m]);
-      std::size_t p = 0;
-      while (p < profiles.size() && profiles[p] != sizes) ++p;
-      if (p == profiles.size()) profiles.push_back(std::move(sizes));
-      machine_profile[m] = p;
-    }
-
-    const std::size_t W = plan.specs.size();
+    const StreamPlan splan = plan_stream(scenario_);
+    const exp::CacheProfiles profiles = exp::cache_profiles(machines);
+    const std::size_t W = splan.specs.size();
     const std::size_t S = scenario_.sigmas.size();
     const std::size_t cells = serve_grid_size(scenario_);
     const std::size_t jobs =
@@ -440,83 +422,49 @@ const std::vector<ServeCell>& ServeSweep::run() {
                  std::max<std::size_t>(cells, 1));
 
     // Every cell serves the same stream, so every (σ, profile) pair needs
-    // every workload's condensation: the dag table is dense, profile-major.
-    std::vector<std::unique_ptr<CondensedDag>> dags(profiles.size() * S * W);
-    std::vector<CellSlot> slots(cells);
+    // every workload's condensation: one window holds them all, keyed
+    // densely, profile-major.
+    exp::FanOut plan;
+    plan.workloads = splan.specs;
+    plan.sigmas = scenario_.sigmas;
+    exp::Window all;
+    all.end = cells;
+    for (std::size_t w = 0; w < W; ++w) all.workloads.push_back(w);
+    for (std::size_t p = 0; p < profiles.sizes.size(); ++p)
+      for (std::size_t g = 0; g < S; ++g)
+        for (std::size_t w = 0; w < W; ++w) {
+          all.keys.push_back(plan.keys.size());
+          plan.keys.push_back({w, g, profiles.sizes[p]});
+        }
+    plan.windows.push_back(std::move(all));
+
+    // Each cell writes only its own result and counter slot, so the
+    // results are in grid order whatever order the cells complete in.
+    results_.resize(cells);
+    std::vector<EngineCounters> engine(cells);
     obs::ProgressMeter progress(scenario_.progress, scenario_.name);
-    ThreadPool pool(jobs);  // after the data its tasks touch (exp/sweep.cpp)
-
-    // Phase 1: build each distinct workload once, in parallel.
-    {
-      progress.begin_phase("workloads", W);
-      std::vector<std::future<void>> futs;
-      futs.reserve(W);
-      for (std::size_t w = 0; w < W; ++w)
-        futs.push_back(pool.submit([w, &plan, &progress] {
-          plan.built[w] = std::make_unique<exp::Workload>(plan.specs[w]);
-          progress.tick();
-        }));
-      wait_all(futs);
-      progress.finish();
-    }
-
-    // Phase 2: build each (workload, σ, profile) condensation once.
-    {
-      progress.begin_phase("condensations", dags.size());
-      std::vector<std::future<void>> futs;
-      futs.reserve(dags.size());
-      for (std::size_t p = 0; p < profiles.size(); ++p)
-        for (std::size_t g = 0; g < S; ++g)
-          for (std::size_t w = 0; w < W; ++w) {
-            const std::size_t k = (p * S + g) * W + w;
-            futs.push_back(pool.submit([this, k, p, g, w, &plan, &profiles,
-                                        &dags, &progress] {
-              dags[k] = std::make_unique<CondensedDag>(
-                  plan.built[w]->graph(), profiles[p], scenario_.sigmas[g]);
-              progress.tick();
-            }));
-          }
-      wait_all(futs);
-      progress.finish();
-    }
-
-    // Phase 3: fan the cells out; each writes only its own padded slot, so
-    // the merged vector is in grid order and output is byte-identical at
-    // any worker count.
-    progress.begin_phase("cells", cells);
-    parallel_for_chunks(
-        pool, cells, 4 * jobs,
-        [this, S, W, &plan, &machines, &machine_profile, &dags, &slots,
-         &progress](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            // Grid order: machine-major, then σ, then policy.
-            const std::size_t m = i / (S * scenario_.policies.size());
-            const std::size_t g =
-                (i / scenario_.policies.size()) % S;
-            const std::size_t p = i % scenario_.policies.size();
-            const std::size_t base = (machine_profile[m] * S + g) * W;
-            std::vector<const CondensedDag*> cell_dags(W);
-            for (std::size_t w = 0; w < W; ++w)
-              cell_dags[w] = dags[base + w].get();
-            slots[i].cell.machine = scenario_.machines[m];
-            // Cell 0 (one cell, one worker) carries the trace sink.
-            CellRunner runner(scenario_, plan, machines[m],
-                              scenario_.sigmas[g], scenario_.policies[p],
-                              cell_dags,
-                              i == 0 ? scenario_.trace_sink : nullptr,
-                              slots[i].engine);
-            runner.run(slots[i].cell);
-            progress.tick();
-          }
+    exp::fan_out(
+        plan, jobs, progress,
+        [&](std::size_t i, const exp::Dags& dags,
+            std::unique_ptr<SimCore>& core) {
+          // Grid order: machine-major, then σ, then policy.
+          const std::size_t P = scenario_.policies.size();
+          const std::size_t m = i / (S * P);
+          const std::size_t g = (i / P) % S;
+          const std::size_t base = (profiles.of_machine[m] * S + g) * W;
+          std::vector<const CondensedDag*> cell_dags(W);
+          for (std::size_t w = 0; w < W; ++w)
+            cell_dags[w] = dags[base + w].get();
+          results_[i].machine = scenario_.machines[m];
+          // Cell 0 (one cell, one worker) carries the trace sink.
+          CellRunner runner(scenario_, splan, machines[m],
+                            scenario_.sigmas[g], scenario_.policies[i % P],
+                            cell_dags, i == 0 ? scenario_.trace_sink : nullptr,
+                            engine[i], core);
+          runner.run(results_[i]);
         });
-    progress.finish();
-
-    results_.reserve(cells);
-    for (CellSlot& s : slots) {
-      results_.push_back(std::move(s.cell));
-      engine_counters_ += s.engine;
-    }
-    condensations_ = dags.size();
+    for (const EngineCounters& e : engine) engine_counters_ += e;
+    condensations_ = plan.keys.size();
   } catch (...) {
     // A failed run leaves the object as if run() was never called
     // (exp/sweep.cpp's contract).

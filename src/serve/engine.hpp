@@ -9,10 +9,9 @@
 // classic policies, earliest-absolute-deadline first for policies
 // registered deadline-aware (`edf`), ties broken by arrival time then
 // submission index. The admitted job runs alone on the whole machine
-// through the shared discrete-event core: one SimCore per worker is
-// reset()-rebound per job (the PR-6 arena design), so serving a thousand
-// jobs allocates like serving one. Job latency = completion − arrival,
-// queueing included.
+// through the shared discrete-event core: one SimCore per fan-out chunk is
+// reset()-rebound per job, so serving a thousand jobs allocates like
+// serving one. Job latency = completion − arrival, queueing included.
 //
 // Measured occupancy (--misses): the simulated caches persist *across*
 // jobs (SchedOptions::keep_occupancy), so each job starts in whatever
@@ -24,10 +23,11 @@
 // attributable to that tenant's job, directly comparable against the
 // job's own Q* bound.
 //
-// The grid (machines × σ × policies) mirrors src/exp: cells sharing a
-// (workload, σ, cache-profile) share one condensation, cells fan out over
-// a thread pool, each cell writes only its own pre-sized slot, and output
-// is byte-identical at every `jobs` worker count (tested, CI-gated).
+// The grid (machines × σ × policies) runs through the sweep's fan-out
+// (exp/fanout.hpp) as one window, since every cell serves every workload:
+// cells sharing a (workload, σ, cache-profile) share one condensation,
+// each cell writes only its own pre-sized slot, and output is
+// byte-identical at every `jobs` worker count (tested, CI-gated).
 #pragma once
 
 #include <cstddef>
@@ -142,13 +142,12 @@ void validate(const ServeScenario& s);
 
 /// The serve runner. Expands machines × σ × policies, builds each distinct
 /// workload and each (workload, σ, cache-profile) condensation exactly
-/// once, then executes every cell's full service simulation — on a thread
-/// pool when `jobs` allows, with byte-identical results at any worker
-/// count.
+/// once, then executes every cell's full service simulation, with
+/// byte-identical results at any worker count.
 class ServeSweep {
  public:
-  /// `jobs` is the cell-execution worker count: 0 = hardware concurrency,
-  /// 1 = serial; clamped to the cell count.
+  /// `jobs` is the worker count: 0 = hardware concurrency, 1 = every task
+  /// inline on the calling thread; clamped to the cell count.
   explicit ServeSweep(ServeScenario s, std::size_t jobs = 0)
       : scenario_(std::move(s)), jobs_(jobs) {}
 

@@ -1,7 +1,7 @@
 // A small reusable fixed-size thread pool: FIFO task queue, futures for
 // results and exception propagation, drain-on-destruction semantics. This
-// is the execution substrate of the parallel sweep engine (src/exp/sweep),
-// but it is deliberately generic — any subsystem that wants to fan
+// is the execution substrate of the grid fan-out (src/exp/fanout), but it
+// is deliberately generic — any subsystem that wants to fan
 // independent work across cores can own one.
 //
 // Semantics worth knowing:
@@ -128,26 +128,31 @@ void wait_all(std::vector<std::future<T>>& futs) {
 }
 
 /// Splits [0, n) into at most `chunks` contiguous ranges (sizes differing
-/// by at most one) and submits one pool task per range; `body(begin, end)`
-/// runs with begin < end. One task per *range* instead of per index is the
-/// point: anything the body hoists out of its index loop (a reused
-/// simulator core, scratch buffers) is amortized over the whole range.
-/// Ranges are dequeued FIFO, so passing more chunks than workers trades
-/// amortization span for dynamic load balance. Blocks until every range
-/// completed; failures rethrow in submission (= index) order, after all
-/// siblings finished with the caller's data (wait_all semantics).
+/// by at most one) and runs `body(begin, end)` once per range, with
+/// begin < end. One task per *range* instead of per index is the point:
+/// anything the body hoists out of its index loop (a reused simulator
+/// core, scratch buffers) is amortized over the whole range. With a pool,
+/// each range is one pool task, dequeued FIFO, so passing more chunks than
+/// workers trades amortization span for dynamic load balance; the call
+/// blocks until every range completed and failures rethrow in submission
+/// (= index) order, after all siblings finished with the caller's data
+/// (wait_all semantics). With `pool` null the same ranges run inline, in
+/// order, on the calling thread, and a failure propagates at once.
 template <typename Body>
-void parallel_for_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
+void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t chunks,
                          Body&& body) {
   if (n == 0) return;
   chunks = std::min(std::max<std::size_t>(chunks, 1), n);
   const std::size_t base = n / chunks, extra = n % chunks;
   std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
+  if (pool != nullptr) futs.reserve(chunks);
   std::size_t begin = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    futs.push_back(pool.submit([begin, end, &body] { body(begin, end); }));
+    if (pool != nullptr)
+      futs.push_back(pool->submit([begin, end, &body] { body(begin, end); }));
+    else
+      body(begin, end);
     begin = end;
   }
   wait_all(futs);

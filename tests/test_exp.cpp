@@ -10,13 +10,16 @@
 //       and all four policies (occupancy layer included)
 //   X5  the repeat axis varies only the seed, deterministically
 //   X6  the consolidated JSON/CSV emitters produce well-formed output
-//   X7  the parallel engine: a mid-size grid at --jobs=1/2/8 produces
-//       byte-identical table/JSON/CSV output (with and without measured
-//       misses) and the same condensation count, the condensation plan
-//       matches the serial cache walk, and phase times account for the run
-//   X8  parallel failures surface as the same loud CheckErrors serial ones
-//       do, without poisoning the Sweep into a fake empty success — a
-//       failed run reports zero condensations and retries from scratch
+//   X7  the fan-out: a mid-size grid and a five-workload grid whose
+//       windows split at --jobs=1 and 2 produce byte-identical
+//       table/JSON/CSV output (with and without measured misses), the same
+//       cell-0 trace and the same condensation count at --jobs=1/2/8; the
+//       condensation plan lists keys in first-use grid order, and phase
+//       times account for the run
+//   X8  failures inside a worker surface as the same loud CheckErrors at
+//       --jobs=1 and 4, without poisoning the Sweep into a fake empty
+//       success — a failed run reports zero condensations and retries
+//       from scratch
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +28,8 @@
 
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
+#include "obs/export.hpp"
+#include "obs/recorder.hpp"
 #include "pmh/presets.hpp"
 #include "sched/condensed_dag.hpp"
 #include "sched/registry.hpp"
@@ -242,8 +247,8 @@ TEST(Sweep, BuildsCondensationOncePerSigmaAndMatchesFreshRuns) {  // X3
   EXPECT_EQ(sweep.condensations_built(), 1u);
   ASSERT_EQ(runs.size(), 4u);
 
-  // Fresh-build SimCore (the historical per-run path) must agree bit for
-  // bit with the shared-condensation sweep, for every policy.
+  // run_scheduler (a fresh condensation per run) must agree bit for bit
+  // with the shared-condensation sweep, for every policy.
   exp::Workload w(s.workloads[0]);
   const Pmh m = make_pmh("flat8");
   for (const exp::RunPoint& r : runs) {
@@ -372,7 +377,7 @@ TEST(Sweep, RepeatAxisVariesSeedDeterministically) {  // X5
 }
 
 // All three emitters rendered into one string — the byte-level artifact
-// the parallel/serial equivalence tests (and the CI gate) compare.
+// the cross-jobs equivalence tests (and the CI gate) compare.
 std::string emit_everything(const std::vector<exp::RunPoint>& runs) {
   std::ostringstream os;
   exp::results_table("stress", runs).print(os);
@@ -381,22 +386,57 @@ std::string emit_everything(const std::vector<exp::RunPoint>& runs) {
   return os.str();
 }
 
+exp::Scenario five_workload_scenario() {
+  // Five workloads: --jobs=2 cuts the workload-major grid into three
+  // windows (2, 2 and 1 workloads), --jobs=1 into five.
+  exp::Scenario s;
+  s.workloads = exp::parse_workload_list(
+      "mm:n=8;trs:n=8;lcs:n=32;gen:family=wavefront,n=8;"
+      "gen:family=sp,depth=4,fan=3,seed=3");
+  s.machines = {"flat:p=2,m1=768,c1=10", "deep2x4"};
+  s.policies = {"sb", "ws", "serial"};
+  s.sigmas = {0.25, 0.5};
+  return s;
+}
+
 TEST(Sweep, ParallelOutputIsByteIdenticalToSerial) {  // X7
-  // A mid-size grid exercising every axis: 2 workloads × 2 σ × 2 machines
-  // (distinct cache profiles) × 2 α' × 3 policies × 2 repeats = 96 cells,
-  // 8 condensations.
-  const exp::Scenario s = small_scenario();
-
-  exp::Sweep serial(s, 1);
-  const std::string golden = emit_everything(serial.run());
-
-  for (const std::size_t jobs : {2u, 8u}) {
-    exp::Sweep parallel(s, jobs);
-    const auto& runs = parallel.run();
-    ASSERT_EQ(runs.size(), serial.results().size()) << jobs << " jobs";
-    EXPECT_EQ(parallel.condensations_built(), serial.condensations_built())
-        << jobs << " jobs";
-    EXPECT_EQ(emit_everything(runs), golden) << jobs << " jobs";
+  // Two grids. small_scenario exercises every axis: 2 workloads × 2 σ × 2
+  // machines (distinct cache profiles) × 2 α' × 3 policies × 2 repeats =
+  // 96 cells, 8 condensations. five_workload_scenario crosses window
+  // boundaries at --jobs=1 and 2, with cell 0 traced: 60 cells, 20
+  // condensations.
+  struct Input {
+    exp::Scenario s;
+    bool traced;
+    std::size_t condensations;
+  };
+  const Input inputs[] = {{small_scenario(), false, 8},
+                          {five_workload_scenario(), true, 20}};
+  for (const Input& in : inputs) {
+    std::string golden, golden_trace;
+    for (const std::size_t jobs : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(in.s.workloads.size()) + " workloads, " +
+                   std::to_string(jobs) + " jobs");
+      obs::EventRecorder rec;
+      exp::Scenario s = in.s;
+      if (in.traced) s.trace_sink = &rec;
+      exp::Sweep sweep(s, jobs);
+      const std::string out = emit_everything(sweep.run());
+      EXPECT_EQ(sweep.condensations_built(), in.condensations);
+      std::ostringstream trace;
+      obs::write_events_csv(trace, rec);
+      if (in.traced) {
+        EXPECT_EQ(rec.count(obs::Event::Kind::kUnit),
+                  sweep.results()[0].stats.atomic_units);
+      }
+      if (jobs == 1) {
+        golden = out;
+        golden_trace = trace.str();
+        continue;
+      }
+      EXPECT_EQ(out, golden);
+      EXPECT_EQ(trace.str(), golden_trace);
+    }
   }
 }
 
@@ -479,8 +519,7 @@ TEST(Sweep, ParallelBuildsEachCondensationExactlyOnce) {  // X7
   const std::size_t before = CondensedDag::total_builds();
   const auto& runs = sweep.run();
   EXPECT_EQ(runs.size(), 24u);
-  // One per σ, shared by all machines and policies — the same count the
-  // serial runner's rolling cache reports.
+  // One per σ, shared by all machines and policies.
   EXPECT_EQ(CondensedDag::total_builds(), before + 2);
   EXPECT_EQ(sweep.condensations_built(), 2u);
 }
@@ -502,8 +541,8 @@ TEST(Scenario, CondensationPlanMatchesSerialCacheWalk) {  // X7
     EXPECT_EQ(k.sigma, grid[i].sigma);
     EXPECT_EQ(k.sizes, level_cache_sizes(machines[grid[i].machine]));
   }
-  // Keys appear in first-use grid order, so the serial walk and the plan
-  // agree not just on the count but on the build sequence.
+  // Keys appear in first-use grid order, so a walk over the grid meets
+  // them in build sequence.
   std::size_t seen = 0;
   for (const std::size_t c : plan.cell)
     if (c == seen) ++seen;
@@ -513,7 +552,7 @@ TEST(Scenario, CondensationPlanMatchesSerialCacheWalk) {  // X7
 TEST(Sweep, WorkerFailureSurfacesLoudlyAndDoesNotPoison) {  // X8
   // A workload spec injected past the parser (validate() deliberately does
   // not re-check specs) so the failure happens inside a worker task during
-  // the parallel build fan-out — not on the main thread before the pool
+  // the fan-out's workload builds — not on the main thread before the pool
   // exists. wait_all must surface it as the same loud CheckError, after
   // every sibling task has finished with the shared state.
   exp::Scenario s;
@@ -539,7 +578,7 @@ TEST(Sweep, WorkerFailureSurfacesLoudlyAndDoesNotPoison) {  // X8
   EXPECT_TRUE(sweep.results().empty());
   EXPECT_EQ(sweep.condensations_built(), 0u);
 
-  // Same failure on the serial path: identical post-throw state.
+  // Same failure with every task inline: identical post-throw state.
   exp::Sweep serial(s, 1);
   EXPECT_THROW(serial.run(), CheckError);
   EXPECT_THROW(serial.run(), CheckError);

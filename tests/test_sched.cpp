@@ -13,10 +13,9 @@
 #include "analysis/pcc.hpp"
 #include "exp/workload.hpp"
 #include "nd/drs.hpp"
+#include "obs/recorder.hpp"
 #include "pmh/presets.hpp"
 #include "sched/registry.hpp"
-#include "sched/sb_scheduler.hpp"
-#include "sched/ws_scheduler.hpp"
 
 namespace ndf {
 namespace {
@@ -26,7 +25,7 @@ TEST(SbScheduler, SerialMachineMatchesTotalDuration) {
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(1, 3.0 * 8 * 8 * 3, 10));
   SchedOptions opts;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   // One processor: makespan = work + all distributed miss latency.
   EXPECT_NEAR(s.makespan, s.total_work + s.miss_cost, 1e-6);
   EXPECT_DOUBLE_EQ(s.total_work, g.work());
@@ -38,7 +37,7 @@ TEST(SbScheduler, MissesMatchTheorem1Bound) {
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 512, 10));
   SchedOptions opts;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   // Theorem 1: misses at level j <= Q*(t; σMj). Our accounting charges
   // exactly the anchored footprints, so this holds with the glue slack.
   const double q = parallel_cache_complexity(t, opts.sigma * 512);
@@ -53,7 +52,7 @@ TEST(SbScheduler, SpeedupIsMonotoneAndBounded) {
   double t1 = 0.0;
   for (std::size_t p : {1u, 2u, 4u, 8u}) {
     Pmh m(PmhConfig::flat(p, 256, 5));
-    const SchedStats s = run_sb_scheduler(g, m);
+    const SchedStats s = run_scheduler("sb", g, m);
     if (p == 1) t1 = s.makespan;
     const double speedup = t1 / s.makespan;
     EXPECT_GE(speedup, prev * 0.999);  // monotone (allowing fp noise)
@@ -70,8 +69,8 @@ TEST(SbScheduler, NdBeatsNpOnTrs) {
   StrandGraph nd = elaborate(t);
   StrandGraph np = elaborate(t, {.np_mode = true});
   Pmh m(PmhConfig::flat(16, 1024, 10));
-  const double ms_nd = run_sb_scheduler(nd, m).makespan;
-  const double ms_np = run_sb_scheduler(np, m).makespan;
+  const double ms_nd = run_scheduler("sb", nd, m).makespan;
+  const double ms_np = run_scheduler("sb", np, m).makespan;
   EXPECT_LT(ms_nd, ms_np);
 }
 
@@ -79,7 +78,7 @@ TEST(SbScheduler, RespectsBalancedLowerBound) {
   SpawnTree t = make_mm_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(8, 3 * 16 * 16, 10));
-  const SchedStats s = run_sb_scheduler(g, m);
+  const SchedStats s = run_scheduler("sb", g, m);
   // Makespan can't beat perfect balance of work alone.
   EXPECT_GE(s.makespan * 8.0, s.total_work - 1e-6);
 }
@@ -88,7 +87,7 @@ TEST(SbScheduler, TwoTierMachineCompletes) {
   SpawnTree t = make_trs_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::two_tier(2, 4, 256, 4096, 2, 20));
-  const SchedStats s = run_sb_scheduler(g, m);
+  const SchedStats s = run_scheduler("sb", g, m);
   EXPECT_GT(s.makespan, 0.0);
   ASSERT_EQ(s.misses.size(), 2u);
   EXPECT_GT(s.misses[1], 0.0);
@@ -102,7 +101,7 @@ TEST(SbScheduler, ChargeMissesOffGivesPureWorkMakespanOnOneProc) {
   Pmh m(PmhConfig::flat(1, 256, 100));
   SchedOptions opts;
   opts.charge_misses = false;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   EXPECT_NEAR(s.makespan, g.work(), 1e-9);
 }
 
@@ -110,7 +109,7 @@ TEST(WsScheduler, CompletesAndConservesWork) {
   SpawnTree t = make_lcs_tree(64, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 256, 5));
-  const SchedStats s = run_ws_scheduler(g, m);
+  const SchedStats s = run_scheduler("ws", g, m);
   EXPECT_DOUBLE_EQ(s.total_work, g.work());
   EXPECT_GT(s.makespan, 0.0);
   EXPECT_GT(s.atomic_units, 0u);
@@ -122,8 +121,8 @@ TEST(WsScheduler, SbHasNoMoreMissesThanWs) {
   SpawnTree t = make_mm_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(8, 3 * 16 * 16, 10));
-  const SchedStats sb = run_sb_scheduler(g, m);
-  const SchedStats ws = run_ws_scheduler(g, m);
+  const SchedStats sb = run_scheduler("sb", g, m);
+  const SchedStats ws = run_scheduler("ws", g, m);
   EXPECT_LE(sb.misses[0], ws.misses[0] * 1.001);
 }
 
@@ -133,8 +132,8 @@ TEST(WsScheduler, DeterministicForFixedSeed) {
   Pmh m(PmhConfig::flat(4, 512, 5));
   SchedOptions o;
   o.seed = 7;
-  const SchedStats a = run_ws_scheduler(g, m, o);
-  const SchedStats b = run_ws_scheduler(g, m, o);
+  const SchedStats a = run_scheduler("ws", g, m, o);
+  const SchedStats b = run_scheduler("ws", g, m, o);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.steals, b.steals);
 }
@@ -196,11 +195,11 @@ TEST(WsScheduler, VictimStreamPinnedOnSixteenProcessors) {
   const Pmh m = make_pmh("flat16");
   for (const Golden& want : golden) {
     const exp::Workload w(exp::parse_workload(want.workload));
-    Trace trace;
+    obs::EventRecorder rec;
     SchedOptions o;
     o.seed = want.seed;
-    o.trace = &trace;
-    const SchedStats s = run_ws_scheduler(w.graph(), m, o);
+    o.sink = &rec;
+    const SchedStats s = run_scheduler("ws", w.graph(), m, o);
     SCOPED_TRACE(std::string(want.workload) + " seed " +
                  std::to_string(want.seed));
     EXPECT_EQ(s.makespan, want.makespan);
@@ -208,7 +207,7 @@ TEST(WsScheduler, VictimStreamPinnedOnSixteenProcessors) {
     ASSERT_EQ(s.misses.size(), 1u);
     EXPECT_EQ(s.misses[0], want.misses);
     EXPECT_EQ(s.miss_cost, want.misses * m.miss_cost(1));
-    EXPECT_EQ(trace_fingerprint(trace), want.fingerprint);
+    EXPECT_EQ(trace_fingerprint(rec.unit_trace()), want.fingerprint);
   }
 }
 
@@ -271,11 +270,11 @@ TEST(SbScheduler, SchedulePinnedOnFlatAndDeepMachines) {
     SCOPED_TRACE(std::string(want.workload) + " on " + want.machine);
     const exp::Workload w(exp::parse_workload(want.workload));
     const Pmh m = make_pmh(want.machine);
-    Trace trace;
+    obs::EventRecorder rec;
     SchedOptions o;
     o.measure_misses = true;
-    o.trace = &trace;
-    const SchedStats s = run_sb_scheduler(w.graph(), m, o);
+    o.sink = &rec;
+    const SchedStats s = run_scheduler("sb", w.graph(), m, o);
     EXPECT_EQ(s.makespan, want.makespan);
     EXPECT_EQ(s.total_work, w.graph().work());
     EXPECT_EQ(s.atomic_units, want.units);
@@ -291,7 +290,7 @@ TEST(SbScheduler, SchedulePinnedOnFlatAndDeepMachines) {
     EXPECT_EQ(s.utilization, want.utilization);
     EXPECT_TRUE(s.measured_writebacks.empty());
     EXPECT_EQ(s.contention_cost, 0.0);
-    EXPECT_EQ(trace_fingerprint(trace), want.fingerprint);
+    EXPECT_EQ(trace_fingerprint(rec.unit_trace()), want.fingerprint);
   }
 }
 
@@ -464,13 +463,14 @@ TEST(SkipPicks, SkippingPolicyMatchesOneThatPicksEveryTime) {
           SchedOptions o;
           o.seed = seed;
           o.measure_misses = true;
-          Trace skipped_trace, full_trace;
-          o.trace = &skipped_trace;
-          SimCore skipping(w.graph(), m, o);
+          const CondensedDag dag(w.graph(), level_cache_sizes(m), o.sigma);
+          obs::EventRecorder skipped_rec, full_rec;
+          o.sink = &skipped_rec;
+          SimCore skipping(dag, m, o);
           const auto skip_policy = make_scheduler(policy, o);
           const SchedStats a = skipping.run(*skip_policy);
-          o.trace = &full_trace;
-          SimCore full(w.graph(), m, o);
+          o.sink = &full_rec;
+          SimCore full(dag, m, o);
           EveryPick every(make_scheduler(policy, o));
           const SchedStats b = full.run(every);
 
@@ -480,8 +480,8 @@ TEST(SkipPicks, SkippingPolicyMatchesOneThatPicksEveryTime) {
           EXPECT_EQ(a.misses, b.misses);
           EXPECT_EQ(a.measured_misses, b.measured_misses);
           EXPECT_EQ(a.utilization, b.utilization);
-          EXPECT_EQ(trace_fingerprint(skipped_trace),
-                    trace_fingerprint(full_trace));
+          EXPECT_EQ(trace_fingerprint(skipped_rec.unit_trace()),
+                    trace_fingerprint(full_rec.unit_trace()));
 
           // Same work, but only the full run picks for processors that
           // cannot get anything: every pick of the skipping run places a

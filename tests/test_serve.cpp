@@ -24,16 +24,17 @@
 //       benefits from its own warm lines
 //   V8  scenario validation: unknown policies, stream conflicts and
 //       out-of-range parameters fail loudly
+//   V9  a failure inside a worker (a workload that cannot be built) at
+//       --jobs=1 and --jobs=4 leaves no results, no condensations and no
+//       counters behind, and a retry throws again instead of returning an
+//       empty success
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 
 #include "exp/workload.hpp"
 #include "pmh/presets.hpp"
-#include "sched/condensed_dag.hpp"
 #include "sched/registry.hpp"
-#include "sched/sim_core.hpp"
 #include "serve/engine.hpp"
 #include "serve/report.hpp"
 #include "support/check.hpp"
@@ -202,12 +203,8 @@ TEST(EdfPolicy, BatchStatsBitIdenticalToGreedy) {  // V4
     const Pmh m = make_pmh(machine);
     SchedOptions opts;
     opts.measure_misses = true;
-    SimCore core(w.graph(), m, opts);
-    const auto edf = make_scheduler("edf", opts);
-    const SchedStats a = core.run(*edf);
-    SimCore fresh(w.graph(), m, opts);
-    const auto greedy = make_scheduler("greedy", opts);
-    const SchedStats b = fresh.run(*greedy);
+    const SchedStats a = run_scheduler("edf", w.graph(), m, opts);
+    const SchedStats b = run_scheduler("greedy", w.graph(), m, opts);
     EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << machine;
     EXPECT_DOUBLE_EQ(a.utilization, b.utilization) << machine;
     EXPECT_DOUBLE_EQ(a.miss_cost, b.miss_cost) << machine;
@@ -239,9 +236,7 @@ TEST(ServeEngine, SingleJobEqualsBatchMakespan) {  // V5
   // The same (workload, machine, σ, policy) as a batch run.
   const exp::Workload w(exp::parse_workload("mm:n=32"));
   const Pmh m = make_pmh("flat16");
-  SimCore core(w.graph(), m, SchedOptions{});
-  const auto sb = make_scheduler("sb", SchedOptions{});
-  const SchedStats batch = core.run(*sb);
+  const SchedStats batch = run_scheduler("sb", w.graph(), m);
 
   EXPECT_DOUBLE_EQ(rec.service, batch.makespan);
   EXPECT_DOUBLE_EQ(rec.start, 0.0);
@@ -440,6 +435,35 @@ TEST(ServeEngine, ValidationIsLoud) {  // V8
   EXPECT_NE(check_error_of([&] { ServeSweep(s, 1).run(); })
                 .find("outside (0, 1)"),
             std::string::npos);
+}
+
+TEST(ServeEngine, WorkerFailureLeavesNothingAndRetryThrows) {  // V9
+  // A workload spec injected past the parser (validate() does not re-check
+  // specs), so the failure happens while the fan-out builds workloads —
+  // inside a pool task at --jobs=4, inline at --jobs=1.
+  ServeScenario s = trace_scenario("0 a mm:n=8\n1 b mm:n=8\n", "sb");
+  JobSpec bad;
+  bad.index = 2;
+  bad.tenant = "c";
+  bad.arrival = 2.0;
+  bad.workload = exp::WorkloadSpec{"not-a-workload", 8, 4, false, {}};
+  s.jobs.push_back(bad);
+  s.machines = {"flat16", "deep2x4"};
+  s.policies = {"sb", "edf"};
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(jobs) + " jobs");
+    ServeSweep sweep(s, jobs);
+    const std::string msg = check_error_of([&] { sweep.run(); });
+    EXPECT_NE(msg.find("unknown workload 'not-a-workload'"),
+              std::string::npos)
+        << msg;
+    EXPECT_TRUE(sweep.results().empty());
+    EXPECT_EQ(sweep.condensations_built(), 0u);
+    EXPECT_EQ(sweep.engine_counters(), EngineCounters{});
+    EXPECT_THROW(sweep.run(), CheckError);  // still throws, no silent empty
+    EXPECT_TRUE(sweep.results().empty());
+    EXPECT_EQ(sweep.condensations_built(), 0u);
+  }
 }
 
 }  // namespace

@@ -7,13 +7,15 @@
 //   P5  many tasks across many workers all run exactly once (wait_all)
 //   P6  parallel_for_chunks partitions [0, n) into contiguous ranges that
 //       cover every index exactly once, clamps chunk counts, and rethrows
-//       a chunk's failure after the others finished
+//       a chunk's failure after the others finished; with no pool the
+//       same ranges run inline, in order
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -95,7 +97,7 @@ TEST(ThreadPool, ParallelForChunksCoversEveryIndexOnce) {  // P6
       std::vector<std::atomic<int>> hits(n);
       for (auto& h : hits) h.store(0);
       std::atomic<std::size_t> ranges{0};
-      parallel_for_chunks(pool, n, chunks,
+      parallel_for_chunks(&pool, n, chunks,
                           [&](std::size_t b, std::size_t e) {
                             EXPECT_LT(b, e);
                             ranges.fetch_add(1, std::memory_order_relaxed);
@@ -110,14 +112,33 @@ TEST(ThreadPool, ParallelForChunksCoversEveryIndexOnce) {  // P6
     }
   }
   // n == 0 is a no-op, not a division by zero.
-  parallel_for_chunks(pool, 0, 4, [](std::size_t, std::size_t) { FAIL(); });
+  parallel_for_chunks(&pool, 0, 4, [](std::size_t, std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, ParallelForChunksWithoutPoolRunsSameRangesInline) {  // P6
+  ThreadPool pool(1);  // one worker: ranges run in submission order
+  for (const std::size_t n : {1u, 7u, 100u}) {
+    for (const std::size_t chunks : {1u, 3u, 16u, 2000u}) {
+      std::vector<std::pair<std::size_t, std::size_t>> pooled, inlined;
+      parallel_for_chunks(&pool, n, chunks, [&](std::size_t b, std::size_t e) {
+        pooled.emplace_back(b, e);
+      });
+      const std::thread::id caller = std::this_thread::get_id();
+      parallel_for_chunks(nullptr, n, chunks,
+                          [&](std::size_t b, std::size_t e) {
+                            EXPECT_EQ(std::this_thread::get_id(), caller);
+                            inlined.emplace_back(b, e);
+                          });
+      EXPECT_EQ(inlined, pooled) << "n=" << n << " chunks=" << chunks;
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForChunksRethrowsAfterSiblingsFinish) {  // P6
   ThreadPool pool(4);
   std::atomic<int> completed{0};
   try {
-    parallel_for_chunks(pool, 100, 10, [&](std::size_t b, std::size_t) {
+    parallel_for_chunks(&pool, 100, 10, [&](std::size_t b, std::size_t) {
       if (b == 0) throw std::runtime_error("chunk zero failed");
       completed.fetch_add(1, std::memory_order_relaxed);
     });
