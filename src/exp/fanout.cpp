@@ -4,22 +4,20 @@
 
 namespace ndf::exp {
 
-namespace {
-
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-/// Runs `task(items[j])` for every j, one task each, and returns the
-/// phase's wall-clock seconds.
+namespace {
+
+/// Runs `task(items[j])` for every j, one task each, ticking
+/// `progress` per item, and returns the phase's wall-clock seconds.
 template <typename Task>
 double build_phase(ThreadPool* pool, obs::ProgressMeter& progress,
-                   const char* phase, const std::vector<std::size_t>& items,
-                   const Task& task) {
+                   const std::vector<std::size_t>& items, const Task& task) {
   const double t0 = now_s();
-  progress.begin_phase(phase, items.size());
   parallel_for_chunks(pool, items.size(), items.size(),
                       [&](std::size_t b, std::size_t e) {
                         for (std::size_t j = b; j < e; ++j) {
@@ -27,7 +25,6 @@ double build_phase(ThreadPool* pool, obs::ProgressMeter& progress,
                           progress.tick();
                         }
                       });
-  progress.finish();
   return now_s() - t0;
 }
 
@@ -45,23 +42,36 @@ FanOutRun fan_out(const FanOut& plan, std::size_t jobs,
   std::unique_ptr<ThreadPool> pool;
   if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
 
+  // One window reports its three phases. Several windows report a single
+  // cells phase over all of them, so its percent and ETA (which then
+  // include the builds between windows) describe the whole run.
+  const bool one_window = plan.windows.size() == 1;
+  obs::ProgressMeter quiet;
+  obs::ProgressMeter& builds = one_window ? progress : quiet;
+  if (!one_window && !plan.windows.empty())
+    progress.begin_phase("cells",
+                         plan.windows.back().end - plan.windows.front().begin);
+
   FanOutRun out;
   for (const Window& win : plan.windows) {
-    out.phases.workload_build += build_phase(
-        pool.get(), progress, "workloads", win.workloads,
-        [&](std::size_t w) {
+    builds.begin_phase("workloads", win.workloads.size());
+    out.phases.workload_build +=
+        build_phase(pool.get(), builds, win.workloads, [&](std::size_t w) {
           built[w] = std::make_unique<Workload>(plan.workloads[w]);
         });
-    out.phases.condensation += build_phase(
-        pool.get(), progress, "condensations", win.keys, [&](std::size_t k) {
+    builds.finish();
+    builds.begin_phase("condensations", win.keys.size());
+    out.phases.condensation +=
+        build_phase(pool.get(), builds, win.keys, [&](std::size_t k) {
           const CondensationPlan::Key& key = plan.keys[k];
           dags[k] = std::make_unique<CondensedDag>(
               built[key.workload]->graph(), key.sizes,
               plan.sigmas[key.sigma]);
         });
+    builds.finish();
 
     const double t0 = now_s();
-    progress.begin_phase("cells", win.end - win.begin);
+    if (one_window) progress.begin_phase("cells", win.end - win.begin);
     parallel_for_chunks(
         pool.get(), win.end - win.begin, 4 * jobs,
         [&](std::size_t b, std::size_t e) {
@@ -71,12 +81,13 @@ FanOutRun fan_out(const FanOut& plan, std::size_t jobs,
             progress.tick();
           }
         });
-    progress.finish();
+    if (one_window) progress.finish();
     out.phases.cell_execution += now_s() - t0;
 
     for (const std::size_t k : win.keys) dags[k].reset();
     for (const std::size_t w : win.workloads) built[w].reset();
   }
+  progress.finish();  // the multi-window cells phase; else a no-op
   if (pool) out.workers = pool->worker_stats();
   return out;
 }

@@ -23,8 +23,15 @@
 //
 // At jobs > 1 every build and every chunk is a task on one ThreadPool that
 // lives for the whole run. At jobs = 1 there is no pool and no thread: the
-// same tasks run inline, in the same order. Each cell writes only its own
-// caller-owned slot, so the results do not depend on `jobs`.
+// same tasks run inline, in the same order. (A one-worker pool would do
+// the same work, but every allocation of its tasks would then come from a
+// second malloc arena: on ndfbench's sim-stress workload, the `--stress`
+// grid, that raised peak RSS from about 15.7 to 24 MB.) Each cell writes only its own caller-owned slot,
+// so the results do not depend on `jobs`.
+//
+// Progress: a run of one window reports its workloads, condensations and
+// cells phases; a run of several reports one cells phase over all of them,
+// so its percent and ETA describe the whole run.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +75,9 @@ struct FanOut {
   /// read, and no key or workload is named by two windows.
   std::vector<Window> windows;
 };
+
+/// Seconds on the steady clock, for timing phases and cells.
+double now_s();
 
 /// The condensations by key index: a key's dag is set while its window
 /// runs and null otherwise.

@@ -1,7 +1,6 @@
 #include "exp/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -12,12 +11,6 @@
 namespace ndf::exp {
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Coordinates + stats for one executed cell.
 RunPoint make_run_point(const Scenario& s, const GridPoint& g, const Pmh& m,

@@ -14,8 +14,9 @@
 //       windows split at --jobs=1 and 2 produce byte-identical
 //       table/JSON/CSV output (with and without measured misses), the same
 //       cell-0 trace and the same condensation count at --jobs=1/2/8; the
-//       condensation plan lists keys in first-use grid order, and phase
-//       times account for the run
+//       condensation plan lists keys in first-use grid order, phase
+//       times account for the run, and --progress reports the whole grid
+//       whether or not the run is cut into windows
 //   X8  failures inside a worker surface as the same loud CheckErrors at
 //       --jobs=1 and 4, without poisoning the Sweep into a fake empty
 //       success — a failed run reports zero condensations and retries
@@ -470,6 +471,33 @@ TEST(Sweep, PhaseTimesAccountForACompletedRun) {  // X7
     EXPECT_GE(pt.condensation, 0.0) << jobs << " jobs";
     // 96 simulated cells cannot take literally zero wall-clock.
     EXPECT_GT(pt.cell_execution, 0.0) << jobs << " jobs";
+  }
+}
+
+TEST(Sweep, ProgressCoversTheWholeGridAcrossWindows) {  // X7
+  // --jobs=1 and 2 cut the five-workload grid into five and three windows:
+  // one cells phase spans them all. --jobs=8 is one window, which reports
+  // its build phases too.
+  exp::Scenario s = five_workload_scenario();
+  s.progress = true;
+  auto count = [](const std::string& out, const std::string& line) {
+    std::size_t n = 0;
+    for (std::size_t at = out.find(line); at != std::string::npos;
+         at = out.find(line, at + 1))
+      ++n;
+    return n;
+  };
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    SCOPED_TRACE(std::to_string(jobs) + " jobs");
+    testing::internal::CaptureStderr();
+    exp::Sweep sweep(s, jobs);
+    sweep.run();
+    const std::string out = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(count(out, ": cells 0/60 "), 1u);
+    EXPECT_EQ(count(out, ": cells 60/60 done"), 1u);
+    const std::size_t builds = jobs == 8 ? 1 : 0;
+    EXPECT_EQ(count(out, ": workloads 0/5 "), builds);
+    EXPECT_EQ(count(out, ": condensations 0/20 "), builds);
   }
 }
 
